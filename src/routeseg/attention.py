@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .params import ParamStruct, trunc_normal, zeros
+from .params import trunc_normal, zeros
 from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, reshape,
                      softmax_lastdim, transpose)
 
@@ -86,7 +86,7 @@ class AttentionTrace:
 
 
 @dataclass
-class RoutingAttentionParams(ParamStruct):
+class RoutingAttentionParams:
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -274,9 +274,8 @@ def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
 
 def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
     """Depth-wise conv on V, same padding, no bias."""
-    c = v_spatial.shape[-1]
     k = p.lce.shape[0]
-    return conv2d(v_spatial, p.lce, None, stride=1, padding=k // 2, groups=c)
+    return conv2d(v_spatial, p.lce, None, stride=1, padding=k // 2)
 
 
 def routed_attention(x: Tensor, p: RoutingAttentionParams, spec: PartitionSpec,

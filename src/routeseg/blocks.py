@@ -22,14 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .attention import PartitionSpec, RoutingAttentionParams, routed_attention
-from .params import ParamStruct, conv_init, ones, trunc_normal, zeros
+from .params import conv_init, ones, trunc_normal, zeros
 from .tensor import Tensor, conv2d, dense, gelu, layer_norm, reshape, transpose
 
 MLP_RATIO = 3
 
 
 @dataclass
-class BlockParams(ParamStruct):
+class BlockParams:
     dw: Tensor                   # [3, 3, 1, C]
     dw_b: Tensor
     ln1_g: Tensor
@@ -65,8 +65,7 @@ class BlockParams(ParamStruct):
 
 def block_forward(x: Tensor, p: BlockParams, spec: PartitionSpec, top_k: int,
                   capture: bool = False):
-    c = x.shape[-1]
-    z = x + conv2d(x, p.dw, p.dw_b, stride=1, padding=1, groups=c)
+    z = x + conv2d(x, p.dw, p.dw_b, stride=1, padding=1)
     normed = layer_norm(z, p.ln1_g, p.ln1_b)
     if capture:
         att, trace = routed_attention(normed, p.attn, spec, top_k, capture=True)
@@ -87,7 +86,7 @@ def block_forward(x: Tensor, p: BlockParams, spec: PartitionSpec, top_k: int,
 
 
 @dataclass
-class PatchEmbedParams(ParamStruct):
+class PatchEmbedParams:
     w1: Tensor
     b1: Tensor
     n1_g: Tensor
@@ -121,7 +120,7 @@ def patch_embed(x: Tensor, p: PatchEmbedParams) -> Tensor:
 
 
 @dataclass
-class PatchMergeParams(ParamStruct):
+class PatchMergeParams:
     w: Tensor
     b: Tensor
     n_g: Tensor
@@ -142,7 +141,7 @@ def patch_merge(x: Tensor, p: PatchMergeParams) -> Tensor:
 
 
 @dataclass
-class PatchExpandParams(ParamStruct):
+class PatchExpandParams:
     w: Tensor                    # [C, factor^2 * out_ch]
     b: Tensor
     factor: int = 2

@@ -4,9 +4,10 @@ dump-attention, gradcheck.
 One command per process. Exit codes: 0 success, 1 gradcheck or internal
 failure, 2 configuration error, 3 data or artifact error, 4 numeric
 abort during training. ``--threads`` is accepted and recorded in the
-effective config; the compute kernels are single-threaded by
-construction, so every value behaves like 1 and results stay
-bit-reproducible.
+effective config but does not set the thread count of numpy's BLAS.
+Results repeat byte for byte at a fixed BLAS thread count; different
+counts can round BLAS reductions differently, so pin the count with
+``OPENBLAS_NUM_THREADS`` in the environment of the process.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (DataError, SegSample, kfold_splits, load_dataset,
 from .model import (CheckpointError, ConfigError, Model, build_model,
                     count_flops, count_params, load_into_model, read_records)
 from .optim import OptimConfigError
-from .tensor import Tensor
+from .tensor import Tensor, softmax_lastdim
 from .train import NumericAbort, evaluate, train_loop
 
 PARAM_TARGETS = [
@@ -86,12 +87,6 @@ def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig, Dict[str, np.nd
     model = build_model(run.model, seed=run.seed)
     extras = load_into_model(model, records)
     return model, run, extras
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _read_input_image(path: str, run: RunConfig) -> np.ndarray:
@@ -167,7 +162,7 @@ def cmd_infer(args) -> int:
     model, run, _ = _load_checkpoint_model(args.checkpoint)
     image = _read_input_image(args.image, run)
     logits = model.forward(Tensor(image[None]), training=False)
-    probs = _softmax_np(logits.data[0].astype(np.float64))
+    probs = softmax_lastdim(Tensor(logits.data[0].astype(np.float64))).data
     pred = np.argmax(probs, axis=-1)
     if run.model.num_classes > 256:
         raise ConfigError("cannot write class indices above 255 as PGM")

@@ -150,7 +150,7 @@ _KEYS: List[_Key] = [
     _Key("seed", _parse_int, 0, "master seed for init, shuffles, augment"),
     _Key("eval_every", _parse_int, 25, "validation cadence in epochs; 0 = end only"),
     _Key("eval_hausdorff", _parse_bool, False, "include Hausdorff in eval"),
-    _Key("threads", _parse_int, 1, "worker threads; 1 is bit-reproducible"),
+    _Key("threads", _parse_int, 1, "recorded only; pin BLAS threads with OPENBLAS_NUM_THREADS"),
 ]
 
 _BY_NAME = {k.name: k for k in _KEYS}
@@ -188,6 +188,10 @@ class RunConfig:
             self.aug.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        lo, hi = self.aug.cutout_bounds(self.model.input_hw)
+        if lo > hi:
+            raise ConfigError(f"cutout_lo {lo} exceeds cutout_hi {hi} at "
+                              f"input_hw {self.model.input_hw}")
         if not 0.0 <= self.loss_lambda <= 1.0:
             raise ConfigError(f"loss_lambda must sit in [0, 1], "
                               f"got {self.loss_lambda}")

@@ -377,7 +377,17 @@ class AugmentConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise DataError(f"{name} must be in [0, 1], got {p}")
+        for name in ("cutout_lo", "cutout_hi"):
+            side = getattr(self, name)
+            if side is not None and side < 1:
+                raise DataError(f"{name} must be >= 1, got {side}")
         return self
+
+    def cutout_bounds(self, side: int) -> Tuple[int, int]:
+        """Effective (lo, hi) cutout sides on an image whose short side is ``side``."""
+        lo = self.cutout_lo if self.cutout_lo is not None else max(1, side // 16)
+        hi = self.cutout_hi if self.cutout_hi is not None else max(lo, side // 4)
+        return lo, hi
 
 
 def augment(sample: SegSample, cfg: AugmentConfig, rng: SplitMix64) -> SegSample:
@@ -393,8 +403,7 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: SplitMix64) -> SegSample
         image, mask = np.rot90(image, k), np.rot90(mask, k)
     if rng.next_float() < cfg.p_cutout:
         h, w = image.shape[:2]
-        lo = cfg.cutout_lo if cfg.cutout_lo is not None else max(1, min(h, w) // 16)
-        hi = cfg.cutout_hi if cfg.cutout_hi is not None else max(lo, min(h, w) // 4)
+        lo, hi = cfg.cutout_bounds(min(h, w))
         side = min(lo + rng.below(hi - lo + 1), h, w)
         top = rng.below(h - side + 1)
         left = rng.below(w - side + 1)

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParamStruct, conv_init, ones, trunc_normal, zeros
+from .params import conv_init, ones, trunc_normal, zeros
 from .tensor import (Tensor, batch_norm, concat, conv2d, dense, mul, relu,
                      sigmoid)
 
 
 @dataclass
-class FusionParams(ParamStruct):
+class FusionParams:
     ca_w1: Tensor                # [2n, n/2]
     ca_b1: Tensor
     ca_w2: Tensor                # [n/2, 2n]
@@ -72,7 +72,7 @@ class FusionParams(ParamStruct):
 
 
 @dataclass
-class PlainFuseParams(ParamStruct):
+class PlainFuseParams:
     out_w: Tensor
     out_b: Tensor
 

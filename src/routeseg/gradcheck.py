@@ -179,11 +179,12 @@ def standard_suite() -> list:
           {"x": rand(2, 5, 5, 3), "w": rand(3, 3, 3, 4), "b": rand(4)})
     entry("conv2d_depthwise",
           lambda p: T.sum_(T.mul(T.conv2d(p["x"], p["w"], None, stride=1,
-                                          padding=2, groups=6), p["x"])),
+                                          padding=2), p["x"])),
           {"x": rand(1, 6, 6, 6), "w": rand(5, 5, 1, 6)})
-    entry("conv2d_grouped", lambda p: T.sum_(T.conv2d(p["x"], p["w"], p["b"],
-                                                      stride=1, padding=0, groups=2)),
-          {"x": rand(2, 4, 4, 4), "w": rand(3, 3, 2, 6), "b": rand(6)})
+    entry("conv2d_depthwise_bias",
+          lambda p: T.sum_(T.mul(T.conv2d(p["x"], p["w"], p["b"], stride=1,
+                                          padding=1), p["x"])),
+          {"x": rand(2, 5, 5, 4), "w": rand(3, 3, 1, 4), "b": rand(4)})
     entry("layer_norm", lambda p: T.sum_(T.mul(T.layer_norm(p["x"], p["g"], p["b"]),
                                                p["x"])),
           {"x": rand(2, 3, 5), "g": rand(5) + 1.5, "b": rand(5)})

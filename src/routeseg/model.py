@@ -33,7 +33,7 @@ from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      patch_embed, patch_expand, patch_merge)
 from .fusion import (FusionParams, PlainFuseParams, channel_spatial_fuse,
                      plain_fuse)
-from .params import ParamStruct, bind, trunc_normal, walk_buffers, walk_tensors, zeros
+from .params import bind, trunc_normal, walk_buffers, walk_tensors, zeros
 from .tensor import Tape, Tensor, dense
 
 HEAD_DIM = 32
@@ -105,7 +105,7 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams(ParamStruct):
+class ModelParams:
     embed: PatchEmbedParams
     stages: List[List[BlockParams]]
     merges: List[PatchMergeParams]

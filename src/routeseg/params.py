@@ -19,27 +19,6 @@ import numpy as np
 from .tensor import Tape, Tensor
 
 
-class ParamStruct:
-    """Mixin for parameter dataclasses."""
-
-    def as_dict(self) -> dict:
-        """Raw arrays of the direct Tensor fields (no recursion)."""
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, Tensor):
-                out[f.name] = v.data
-        return out
-
-    def replace_tensors(self, mapping: dict) -> "ParamStruct":
-        """Copy of self with direct Tensor fields taken from ``mapping``."""
-        updates = {}
-        for f in dataclasses.fields(self):
-            if isinstance(getattr(self, f.name), Tensor) and f.name in mapping:
-                updates[f.name] = mapping[f.name]
-        return dataclasses.replace(self, **updates)
-
-
 def walk_tensors(obj, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
     """Yield (dotted name, Tensor) over a nested parameter structure."""
     if isinstance(obj, Tensor):

@@ -515,26 +515,29 @@ def gather_regions(src: Tensor, index: np.ndarray) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
-           padding: int = 0, groups: int = 1) -> Tensor:
-    """2d convolution, channel-last.
+           padding: int = 0) -> Tensor:
+    """2d convolution, channel-last, of the two kinds the network uses.
 
-    x [N, H, W, Cin], w [kh, kw, Cin/groups, Cout], optional b [Cout].
-    Output extent floor((H + 2*padding - kh)/stride) + 1. Channels are
-    grouped contiguously, group-major on both Cin and Cout.
+    x [N, H, W, C], optional b [Cout]. The weight's shape picks the kind:
+    dense w [kh, kw, C, Cout] mixes all input channels into each output;
+    depth-wise w [kh, kw, 1, C] with C > 1 filters channel c with
+    w[:, :, 0, c] alone, so Cout = C. Any other weight shape is an error.
+    Output extent floor((H + 2*padding - kh)/stride) + 1.
     """
     _nonempty(x, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d: want x[N,H,W,C] and w[kh,kw,c,o], got {x.shape}, {w.shape}")
     n, h, ww_, cin = x.shape
-    kh, kw, cpg, cout = w.shape
-    if cin != cpg * groups:
-        raise ValueError(f"conv2d: {cin} input channels, weight expects {cpg}*{groups}")
-    if cout % groups:
-        raise ValueError(f"conv2d: {cout} output channels not divisible by {groups} groups")
+    kh, kw, wcin, cout = w.shape
+    depthwise = wcin != cin
+    if depthwise and (wcin != 1 or cout != cin):
+        raise ValueError(f"conv2d: weight {w.shape} is neither dense nor depth-wise "
+                         f"over the {cin} channels of input {x.shape}")
     if h + 2 * padding < kh or ww_ + 2 * padding < kw:
         raise ValueError(f"conv2d: kernel {kh}x{kw} exceeds padded input {h}x{ww_}+{padding}")
     _check_dtype(x, w, "conv2d")
-    tape = _merge_tape(x, w, b) if b is not None else _merge_tape(x, w)
+    parents = (x, w, b) if b is not None else (x, w)
+    tape = _merge_tape(*parents)
 
     xp = x.data
     if padding:
@@ -542,44 +545,38 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride]  # [N, Ho, Wo, Cin, kh, kw]
     ho, wo = win.shape[1], win.shape[2]
-    opg = cout // groups
+    wd = w.data
 
-    if groups == 1:
-        out = np.einsum("nhwcij,ijco->nhwo", win, w.data, optimize=True)
+    if depthwise:
+        out = np.einsum("nhwcij,ijc->nhwc", win, wd[:, :, 0, :], optimize=True)
     else:
-        wing = win.reshape(n, ho, wo, groups, cpg, kh, kw)
-        wg = w.data.reshape(kh, kw, cpg, groups, opg)
-        out = np.einsum("nhwgcij,ijcgo->nhwgo", wing, wg, optimize=True)
-        out = out.reshape(n, ho, wo, cout)
+        out = np.einsum("nhwcij,ijco->nhwo", win, wd, optimize=True)
     if b is not None:
         _check_dtype(x, b, "conv2d")
         out = out + b.data
 
-    xd, wd = x.data, w.data
     pad_h, pad_w = h + 2 * padding, ww_ + 2 * padding
+    # a flag, not b itself: a closure holding a tape-bound Tensor would make
+    # the tape a reference cycle that only the cyclic collector frees
+    with_bias = b is not None
 
     def back(g):
-        if groups == 1:
+        if depthwise:
+            gw = np.einsum("nhwcij,nhwc->ijc", win, g, optimize=True)[:, :, None, :]
+            # each tap's input gradient is g scaled per channel, so the
+            # [N,Ho,Wo,C,kh,kw] patch gradient is never materialised
+            tap = lambda i, j: g * wd[i, j, 0]
+        else:
             gw = np.einsum("nhwcij,nhwo->ijco", win, g, optimize=True)
             dpatch = np.einsum("nhwo,ijco->nhwcij", g, wd, optimize=True)
-        else:
-            gg = g.reshape(n, ho, wo, groups, opg)
-            wing2 = win.reshape(n, ho, wo, groups, cpg, kh, kw)
-            wg2 = wd.reshape(kh, kw, cpg, groups, opg)
-            gw = np.einsum("nhwgcij,nhwgo->ijcgo", wing2, gg, optimize=True)
-            gw = gw.reshape(kh, kw, cpg, cout)
-            dpatch = np.einsum("nhwgo,ijcgo->nhwgcij", gg, wg2, optimize=True)
-            dpatch = dpatch.reshape(n, ho, wo, cin, kh, kw)
+            tap = lambda i, j: dpatch[:, :, :, :, i, j]
         dxp = np.zeros((n, pad_h, pad_w, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += \
-                    dpatch[:, :, :, :, i, j]
+                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += tap(i, j)
         dx = dxp[:, padding:pad_h - padding, padding:pad_w - padding, :] if padding else dxp
-        gb = g.sum(axis=(0, 1, 2)) if b is not None else None
-        return (dx, gw, gb) if b is not None else (dx, gw)
+        return (dx, gw, g.sum(axis=(0, 1, 2))) if with_bias else (dx, gw)
 
-    parents = (x, w, b) if b is not None else (x, w)
     return _make(out, tape, "conv2d", parents, back)
 
 

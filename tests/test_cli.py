@@ -117,6 +117,13 @@ def test_train_bad_key_is_config_error(tmp_path, capsys):
     assert "bad.cfg:1" in err
 
 
+def test_train_inverted_cutout_bounds_is_config_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "cut.cfg"), QUICK_CFG.replace(
+        "augment = false", "augment = true\np_cutout = 1.0\ncutout_lo = 10\ncutout_hi = 5"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "cutout_lo 10 exceeds cutout_hi 5" in capsys.readouterr().err
+
+
 def test_train_without_data_is_data_error(tmp_path, capsys):
     cfg = write(str(tmp_path / "nodata.cfg"),
                 "synthetic = false\nnum_classes = 2\n")

@@ -102,6 +102,23 @@ def test_semantic_errors_surface_from_validation():
         parse_config_text("p_rot = 7\n")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("cutout_lo = 0\n", "cutout_lo"),
+    ("cutout_hi = -3\n", "cutout_hi"),
+    ("cutout_lo = 10\ncutout_hi = 5\n", "cutout_lo 10 exceeds cutout_hi 5"),
+    # auto lo at input_hw 224 is 224 // 16 = 14
+    ("cutout_hi = 5\n", "cutout_lo 14 exceeds cutout_hi 5"),
+])
+def test_cutout_bounds_rejected_at_parse(text, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(text)
+
+
+def test_cutout_bounds_accept_auto_and_equal_sides():
+    assert parse_config_text("cutout_lo = 40\n").aug.cutout_bounds(224) == (40, 56)
+    assert parse_config_text("cutout_lo = 5\ncutout_hi = 5\n").aug.cutout_bounds(224) == (5, 5)
+
+
 def test_load_config_reads_file_and_reports_missing(tmp_path):
     path = os.path.join(str(tmp_path), "a.cfg")
     with open(path, "w") as f:

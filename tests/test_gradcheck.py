@@ -8,7 +8,7 @@ from routeseg.tensor import Tensor
 EXPECTED_OPS = {
     "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "clip", "relu",
     "sigmoid", "gelu", "reshape", "transpose", "concat", "sum", "mean",
-    "matmul", "softmax", "conv2d", "conv2d_depthwise", "conv2d_grouped",
+    "matmul", "softmax", "conv2d", "conv2d_depthwise", "conv2d_depthwise_bias",
     "layer_norm", "batch_norm", "gather_regions",
     "routed_attention", "block", "channel_spatial_fuse",
     "dice_loss", "ce_loss", "hybrid_loss", "micro_model",

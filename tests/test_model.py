@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             write_records)
 from routeseg.params import (bind, count_scalars, named_arrays, substitute,
                              walk_buffers, walk_tensors)
-from routeseg.tensor import Tape, Tensor
+from routeseg.tensor import Tape, Tensor, backward, sum_
 
 from conftest import micro_config
 
@@ -182,6 +183,29 @@ def test_forward_produces_logits_at_input_resolution():
     logits = model.forward(Tensor(x))
     assert logits.shape == (2, 32, 32, 2)
     assert np.isfinite(logits.data).all()
+
+
+def test_training_step_tape_is_freed_by_reference_counting():
+    # a backward closure that holds a tape-bound Tensor makes the tape a
+    # reference cycle; its activations then outlive the step until the
+    # cyclic collector happens to run
+    model = build_model(micro_config(), seed=3)
+    x = np.random.default_rng(82).standard_normal((2, 32, 32, 1)).astype(np.float32)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tape = Tape()
+        logits = model.bind(tape).forward(Tensor(x), training=True)
+        backward(sum_(logits))
+        del tape, logits
+        gc.collect()
+        leaked = sum(isinstance(o, Tape) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == 0
 
 
 def test_forward_rejects_wrong_geometry():

@@ -286,19 +286,21 @@ def test_conv2d_matches_loop():
     np.testing.assert_allclose(out.data, naive_conv(x, w, b, 2, 1, 1), atol=1e-12)
 
 
-def test_grouped_conv2d_matches_loop():
+@pytest.mark.parametrize("k,padding", [(3, 1), (5, 2)])
+def test_depthwise_conv2d_with_bias_matches_loop(k, padding):
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((1, 4, 4, 4))
-    w = rng.standard_normal((3, 3, 2, 6))
-    out = T.conv2d(Tensor(x), Tensor(w), None, stride=1, padding=1, groups=2)
-    np.testing.assert_allclose(out.data, naive_conv(x, w, None, 1, 1, 2), atol=1e-12)
+    x = rng.standard_normal((2, 6, 6, 4))
+    w = rng.standard_normal((k, k, 1, 4))
+    b = rng.standard_normal(4)
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=padding)
+    np.testing.assert_allclose(out.data, naive_conv(x, w, b, 1, padding, 4), atol=1e-12)
 
 
 def test_depthwise_conv_equals_per_channel_convs():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, 6, 6, 3))
     w = rng.standard_normal((3, 3, 1, 3))
-    full = T.conv2d(Tensor(x), Tensor(w), None, stride=1, padding=1, groups=3).data
+    full = T.conv2d(Tensor(x), Tensor(w), None, stride=1, padding=1).data
     for c in range(3):
         single = T.conv2d(Tensor(x[..., c:c + 1]), Tensor(w[..., c:c + 1]),
                           None, stride=1, padding=1).data
@@ -309,8 +311,8 @@ def test_conv2d_shape_and_group_errors():
     x = Tensor(np.zeros((1, 4, 4, 4)))
     with pytest.raises(ValueError, match="channels"):
         T.conv2d(x, Tensor(np.zeros((3, 3, 3, 4))))
-    with pytest.raises(ValueError, match="divisible"):
-        T.conv2d(x, Tensor(np.zeros((3, 3, 2, 5))), groups=2)
+    with pytest.raises(ValueError, match="neither dense nor depth-wise"):
+        T.conv2d(x, Tensor(np.zeros((3, 3, 2, 5))))
     with pytest.raises(ValueError, match="exceeds"):
         T.conv2d(x, Tensor(np.zeros((7, 7, 4, 2))))
     with pytest.raises(ValueError, match="want x"):
