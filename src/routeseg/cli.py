@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to resume from; train_log.jsonl is cut back to it")
     p.add_argument("--stop-after-epochs", type=int, default=None,
                    help="interrupt after this many epochs (schedule unchanged)")
     p.add_argument("--threads", type=int, default=None)

@@ -189,6 +189,9 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from None
         lo, hi = self.aug.cutout_bounds(self.model.input_hw)
+        for key, side in (("cutout_lo", lo), ("cutout_hi", hi)):
+            if side > self.model.input_hw:
+                raise ConfigError(f"{key} {side} exceeds input_hw {self.model.input_hw}")
         if lo > hi:
             raise ConfigError(f"cutout_lo {lo} exceeds cutout_hi {hi} at "
                               f"input_hw {self.model.input_hw}")

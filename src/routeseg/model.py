@@ -21,6 +21,7 @@ is clamped per stage to the available region count.
 
 from __future__ import annotations
 
+import os
 import struct as structmod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -359,8 +360,21 @@ def write_records(path: str, config_text: str, records: Dict[str, np.ndarray]):
     """Binary checkpoint: magic, version, config text, named tensors.
 
     All header integers little-endian; payloads are raw little-endian
-    scalars. Round-trips bit-exactly.
+    scalars. Round-trips bit-exactly. The bytes go to ``<path>.tmp`` in
+    the same directory, which is then renamed over ``path``, so a write
+    that fails part-way leaves the previous file at ``path`` intact.
     """
+    tmp = path + ".tmp"
+    try:
+        _write_file(tmp, config_text, records)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_file(path: str, config_text: str, records: Dict[str, np.ndarray]):
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(structmod.pack("<I", CKPT_VERSION))

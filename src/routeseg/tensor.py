@@ -8,6 +8,12 @@ are appended in execution order, so node ids are already topologically
 sorted and ``backward`` is a single reverse sweep with gradient
 accumulation at fan-out points.
 
+The sweep consumes the tape: as it passes each op node it drops the
+node's closure, and with it the activations the closure captured, and
+the node's gradient, so memory is released in reverse creation order.
+Only leaf gradients survive, in the returned ``Grads``. A tape is
+therefore single-use; a second ``backward`` on it raises ValueError.
+
 Layout convention throughout the package: channel-last, row-major,
 images as [N, H, W, C].
 """
@@ -32,17 +38,20 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of one forward pass.
+    """Append-only record of one forward pass, consumed by one ``backward``.
 
     Single-writer: a tape must only be grown from the thread that owns
-    it. The training loop builds a fresh tape per step and discards it
-    after ``backward``.
+    it. Single-use: ``backward`` frees the closures as it sweeps them, so
+    a swept tape cannot be swept again. Its node count stays as it was.
+    The training loop builds a fresh tape per step, and the tape dies
+    with the step.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_swept")
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._swept = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -179,14 +188,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Grads:
-    """Gradient lookup for tape leaves. Unused leaves read as zeros."""
+    """Gradient lookup for the leaves of a swept tape.
+
+    Unused leaves read as zeros. Other tensors raise KeyError: the sweep
+    has already freed the gradients of non-leaf nodes.
+    """
 
     def __init__(self, tape: Tape, table: dict):
         self._tape = tape
         self._table = table
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.tape is not self._tape or t.node is None:
+        if (t.tape is not self._tape or t.node is None
+                or self._tape._nodes[t.node].op != "leaf"):
             raise KeyError("tensor is not a leaf of this tape")
         g = self._table.get(t.node)
         if g is None:
@@ -195,33 +209,43 @@ class Grads:
 
 
 def backward(loss: Tensor) -> Grads:
-    """Reverse sweep from a scalar loss.
+    """Reverse sweep from a scalar loss; consumes the loss's tape.
 
     Visits each node at most once, in reverse creation order, which is a
     valid reverse-topological order because ops append nodes after their
-    inputs exist.
+    inputs exist. Each op node's closure and gradient are dropped as it is
+    visited, so captured activations and consumed gradients are freed
+    during the sweep; leaf gradients are kept for the returned ``Grads``.
+    Raises ValueError if the tape has already been swept.
     """
-    if loss.tape is None or loss.node is None:
+    tape = loss.tape
+    if tape is None or loss.node is None:
         raise ValueError("loss is not bound to a tape")
     if loss.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    nodes = loss.tape._nodes
+    if tape._swept:
+        raise ValueError("tape was already swept by backward; record a new one")
+    tape._swept = True
+    nodes = tape._nodes
     table: dict[int, np.ndarray] = {loss.node: np.ones((), dtype=loss.dtype)}
     for nid in range(loss.node, -1, -1):
-        g = table.get(nid)
+        node = nodes[nid]
+        back = node.backward
+        if back is None:
+            # a leaf: its gradient stays in the table for Grads
+            continue
+        node.backward = None
+        g = table.pop(nid, None)
         if g is None:
             continue
-        node = nodes[nid]
-        if node.backward is None:
-            continue
-        parent_grads = node.backward(g)
+        parent_grads = back(g)
         for pid, pg in zip(node.parents, parent_grads):
             # pid None marks a constant operand; nothing downstream reads it
             if pid is None or pg is None:
                 continue
             acc = table.get(pid)
             table[pid] = pg if acc is None else acc + pg
-    return Grads(loss.tape, table)
+    return Grads(tape, table)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ the order samples arrived in.
 
 Logs are line-delimited JSON. Step records carry kind/epoch/step/lr/
 loss/dice/ce; epoch records kind/epoch/mean_loss; val records
-kind/epoch/foreground dsc and iou.
+kind/epoch/foreground dsc and iou. A resumed run first cuts the log back
+to the checkpoint's step and epoch, so it ends as an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -65,6 +66,29 @@ def _state_records(state: TrainState) -> Dict[str, np.ndarray]:
     return {"state.epoch": np.array(float(state.epoch)),
             "state.step": np.array(float(state.step)),
             "state.best_dsc": np.array(float(state.best_dsc))}
+
+
+def _cut_log(path: str, state: TrainState):
+    """Drop the log records written after the checkpoint ``state`` came from.
+
+    A run resumed from that checkpoint writes them again, so keeping them
+    would duplicate them. A line torn by a crash is dropped as well.
+    """
+    if not os.path.exists(path):
+        return
+    kept = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                continue
+            if rec["epoch"] < state.epoch and rec.get("step", 0) <= state.step:
+                kept.append(line)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(kept)
+    os.replace(tmp, path)
 
 
 def predict_batches(model: Model, samples: Sequence[SegSample],
@@ -133,9 +157,10 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     own_stream = None
     if log_stream is None and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        mode = "a" if resume_from else "w"
-        own_stream = open(os.path.join(out_dir, "train_log.jsonl"), mode,
-                          encoding="utf-8")
+        log_path = os.path.join(out_dir, "train_log.jsonl")
+        if resume_from:
+            _cut_log(log_path, state)
+        own_stream = open(log_path, "a" if resume_from else "w", encoding="utf-8")
         log_stream = own_stream
 
     def emit(record: dict):
@@ -152,6 +177,40 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
         save_model(os.path.join(out_dir, name), model, config_text, extras)
 
     num_classes = model.cfg.num_classes
+
+    def step_grads(epoch: int, batch_ids: List[str]):
+        """Forward and backward of one batch on a tape of its own.
+
+        The tape, bound parameters and activations live only in this
+        frame, so they are freed before the optimizer step and the next
+        forward pass. Returns the parameter gradients by name and the
+        loss, dice and ce values.
+        """
+        batch = []
+        for sid in batch_ids:
+            s = by_id[sid]
+            if aug is not None:
+                rng = SplitMix64(derive_seed(seed, AUGMENT_TAG, epoch, index_of[sid]))
+                s = augment(s, aug, rng)
+            batch.append(s)
+        x, y = stack_batch(batch)
+        target = one_hot(y, num_classes, dtype=x.dtype)
+
+        tape = Tape()
+        bound = model.bind(tape)
+        logits = bound.forward(Tensor(x), training=True)
+        probs = softmax_lastdim(logits)
+        d = dice_loss(probs, Tensor(target))
+        c = cross_entropy_loss(probs, Tensor(target))
+        loss = add(mul(d, loss_lambda), mul(c, 1.0 - loss_lambda))
+
+        loss_val = float(loss.data)
+        if not math.isfinite(loss_val):
+            raise NumericAbort(epoch, state.step, loss_val)
+        grads = backward(loss)
+        gdict = {name: grads[t] for name, t in walk_tensors(bound.params)}
+        return gdict, loss_val, float(d.data), float(c.data)
+
     end_epoch = ocfg.epochs if stop_after_epochs is None \
         else min(ocfg.epochs, stop_after_epochs)
     try:
@@ -162,36 +221,13 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
             SplitMix64(derive_seed(seed, SHUFFLE_TAG, epoch)).shuffle(order)
             epoch_losses = []
             for batch_ids in _batches(order, ocfg.batch_size):
-                batch = []
-                for sid in batch_ids:
-                    s = by_id[sid]
-                    if aug is not None:
-                        rng = SplitMix64(
-                            derive_seed(seed, AUGMENT_TAG, epoch, index_of[sid]))
-                        s = augment(s, aug, rng)
-                    batch.append(s)
-                x, y = stack_batch(batch)
-                target = one_hot(y, num_classes, dtype=x.dtype)
-
-                tape = Tape()
-                bound = model.bind(tape)
-                logits = bound.forward(Tensor(x), training=True)
-                probs = softmax_lastdim(logits)
-                d = dice_loss(probs, Tensor(target))
-                c = cross_entropy_loss(probs, Tensor(target))
-                loss = add(mul(d, loss_lambda), mul(c, 1.0 - loss_lambda))
-
-                loss_val = float(loss.data)
-                if not math.isfinite(loss_val):
-                    raise NumericAbort(epoch, state.step, loss_val)
-                grads = backward(loss)
-                gdict = {name: grads[t] for name, t in walk_tensors(bound.params)}
+                gdict, loss_val, dice, ce = step_grads(epoch, batch_ids)
                 opt.step(gdict, lr)
+                del gdict  # parameter-sized; not needed by the next forward
                 state.step += 1
                 epoch_losses.append(loss_val)
                 emit({"kind": "step", "epoch": epoch, "step": state.step,
-                      "lr": lr, "loss": loss_val, "dice": float(d.data),
-                      "ce": float(c.data)})
+                      "lr": lr, "loss": loss_val, "dice": dice, "ce": ce})
             state.epoch = epoch + 1
             emit({"kind": "epoch", "epoch": epoch,
                   "mean_loss": float(np.mean(epoch_losses))})

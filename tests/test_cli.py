@@ -124,6 +124,13 @@ def test_train_inverted_cutout_bounds_is_config_error(tmp_path, capsys):
     assert "cutout_lo 10 exceeds cutout_hi 5" in capsys.readouterr().err
 
 
+def test_train_cutout_larger_than_image_is_config_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "cut.cfg"), QUICK_CFG.replace(
+        "augment = false", "augment = true\np_cutout = 1.0\ncutout_hi = 40"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "cutout_hi 40 exceeds input_hw 32" in capsys.readouterr().err
+
+
 def test_train_without_data_is_data_error(tmp_path, capsys):
     cfg = write(str(tmp_path / "nodata.cfg"),
                 "synthetic = false\nnum_classes = 2\n")

@@ -108,6 +108,9 @@ def test_semantic_errors_surface_from_validation():
     ("cutout_lo = 10\ncutout_hi = 5\n", "cutout_lo 10 exceeds cutout_hi 5"),
     # auto lo at input_hw 224 is 224 // 16 = 14
     ("cutout_hi = 5\n", "cutout_lo 14 exceeds cutout_hi 5"),
+    # bounds above the image: auto hi follows lo up to 300
+    ("cutout_lo = 300\n", "cutout_lo 300 exceeds input_hw 224"),
+    ("cutout_hi = 500\n", "cutout_hi 500 exceeds input_hw 224"),
 ])
 def test_cutout_bounds_rejected_at_parse(text, key):
     with pytest.raises(ConfigError, match=key):

@@ -340,6 +340,20 @@ def test_write_records_rejects_unstorable_dtype(tmp_path):
         write_records(ckpt_path(tmp_path), "", {"ids": np.zeros(3, np.int64)})
 
 
+def test_failed_write_keeps_previous_checkpoint(tmp_path):
+    path = ckpt_path(tmp_path)
+    good = {"w": np.arange(3, dtype=np.float32)}
+    write_records(path, "cfg", good)
+    # the second record cannot be stored, so the rewrite fails part-way
+    with pytest.raises(CheckpointError, match="not storable"):
+        write_records(path, "cfg", {"w": np.zeros(3, np.float32),
+                                    "ids": np.zeros(3, np.int8)})
+    text, records = read_records(path)
+    assert text == "cfg" and set(records) == {"w"}
+    np.testing.assert_array_equal(records["w"], good["w"])
+    assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
+
+
 def test_save_model_rejects_extra_name_collision(tmp_path):
     model = build_model(micro_config())
     with pytest.raises(CheckpointError, match="collides"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,51 @@ def test_grads_rejects_foreign_tensor():
         grads[Tensor(np.zeros(1))]
     with pytest.raises(KeyError):
         grads[Tape().watch(Tensor(np.zeros(1)))]
+
+
+def test_backward_frees_the_tape_as_it_sweeps():
+    # 20 muls on a 2 MiB leaf: the tape holds ~42 MiB of captured operands.
+    # Kept until the sweep ends, they and the gradients would add tens of MiB;
+    # freed in reverse order, the sweep needs only a few gradients at a time.
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        a = leaf(tape, np.ones(2 ** 18))
+        y = a
+        for _ in range(20):
+            y = T.mul(y, 1.0001)
+        loss = T.sum_(y)
+        del y
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward(loss)
+        rise = tracemalloc.get_traced_memory()[1] - after_forward
+    finally:
+        tracemalloc.stop()
+    assert rise <= 8 * 2 ** 20, f"sweep peaked {rise / 2 ** 20:.1f} MiB above the forward"
+    np.testing.assert_allclose(grads[a], np.full(2 ** 18, 1.0001 ** 20))
+    assert len(tape) == 22                  # the node list keeps its length
+
+
+def test_second_backward_on_a_swept_tape_raises():
+    tape = Tape()
+    a = leaf(tape, [1.0, 2.0])
+    loss = T.sum_(T.mul(a, a))
+    backward(loss)
+    with pytest.raises(ValueError, match="already swept"):
+        backward(loss)
+    with pytest.raises(ValueError, match="already swept"):
+        backward(T.sum_(a))
+
+
+def test_grads_rejects_non_leaf():
+    tape = Tape()
+    a = leaf(tape, [1.0, 2.0])
+    y = T.mul(a, a)
+    grads = backward(T.sum_(y))
+    with pytest.raises(KeyError, match="not a leaf"):
+        grads[y]
+    np.testing.assert_array_equal(grads[a], [2.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

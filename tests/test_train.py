@@ -1,10 +1,14 @@
+import dataclasses
 import io
 import json
 import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from routeseg.config import load_config
 from routeseg.data import AugmentConfig, synth_dataset
 from routeseg.model import build_model, read_records
 from routeseg.optim import OptimConfig
@@ -126,6 +130,54 @@ def test_artifacts_written_and_resume_matches_straight_run(tmp_path):
     log_a = open(os.path.join(straight_dir, "train_log.jsonl")).read()
     log_b = open(os.path.join(resumed_dir, "train_log.jsonl")).read()
     assert parse_log(log_a)[-6:] == parse_log(log_b)[-6:]
+
+
+def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
+    samples = synth_dataset(6, 32, 2, seed=17, in_channels=1)
+
+    def run(out, **kw):
+        train_loop(build_model(micro_config(), seed=5), samples, [],
+                   tiny_optim(epochs=4), seed=5, eval_every=2,
+                   out_dir=str(tmp_path / out), **kw)
+
+    run("straight")
+    run("resumed", stop_after_epochs=2)
+    older = str(tmp_path / "epoch2.ckpt")
+    shutil.copy(str(tmp_path / "resumed" / "last.ckpt"), older)
+    # run on past that checkpoint, then crash while writing a record
+    run("resumed", stop_after_epochs=3, resume_from=older)
+    log_path = str(tmp_path / "resumed" / "train_log.jsonl")
+    with open(log_path, "a", encoding="utf-8") as f:
+        f.write('{"kind": "st')
+    run("resumed", resume_from=older)
+
+    for name in ("train_log.jsonl", "last.ckpt"):
+        assert open(str(tmp_path / "straight" / name), "rb").read() == \
+            open(str(tmp_path / "resumed" / name), "rb").read(), name
+
+
+def test_train_loop_peak_memory_does_not_grow_with_steps():
+    # a step's tape must be gone before the next step's forward, so three
+    # epochs of micro64 (one step each) peak no higher than one
+    run = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "micro64.cfg"))
+    samples = synth_dataset(run.synth_n, run.model.input_hw,
+                            run.model.num_classes, seed=run.seed,
+                            in_channels=run.model.in_channels)
+
+    def peak(epochs):
+        model = build_model(run.model, seed=run.seed)
+        tracemalloc.start()
+        try:
+            train_loop(model, samples, [],
+                       dataclasses.replace(run.optim, epochs=epochs),
+                       loss_lambda=run.loss_lambda, seed=run.seed, eval_every=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.1 * one, f"1 epoch {one / 2 ** 20:.0f} MiB, 3 epochs {three / 2 ** 20:.0f} MiB"
 
 
 def test_resume_rejects_non_training_checkpoint(tmp_path):
