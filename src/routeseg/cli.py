@@ -3,8 +3,9 @@ dump-attention, gradcheck.
 
 One command per process. Exit codes: 0 success, 1 gradcheck or internal
 failure, 2 configuration error, 3 data or artifact error, 4 numeric
-abort during training. ``--threads`` is accepted and recorded in the
-effective config but does not set the thread count of numpy's BLAS.
+abort during training. ``train --threads N`` records N as the ``threads``
+key of the effective config; ``eval`` and ``infer`` accept the flag and
+ignore it. No command sets the thread count of numpy's BLAS.
 Results repeat byte for byte at a fixed BLAS thread count; different
 counts can round BLAS reductions differently, so pin the count with
 ``OPENBLAS_NUM_THREADS`` in the environment of the process.

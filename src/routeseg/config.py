@@ -6,15 +6,17 @@ format via :func:`effective_text`; parsing that text reproduces the
 config exactly, and it is the text embedded in checkpoints and echoed
 into output directories.
 
-Optimizer keys default to the selected regime's preset (``optimizer =
-sgd``: lr 0.05, momentum 0.9, weight decay 1e-4, 400 epochs, batch 24,
-constant schedule; ``optimizer = adam``: lr 5e-4, cosine, 200 epochs,
-batch 16, no weight decay); explicit keys override the preset.
+Each key is one ``_KEYS`` row naming the field it sets; its default is
+that field's dataclass default. Optimizer keys default to the selected
+regime's preset (:meth:`OptimConfig.preset`); explicit keys override the
+preset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .data import AugmentConfig
@@ -40,9 +42,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_ints(raw: str) -> Tuple[int, ...]:
@@ -85,80 +90,75 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_PRESET = object()          # sentinel: default comes from the optimizer preset
-
-
 @dataclass(frozen=True)
 class _Key:
     name: str
+    field: str      # dotted RunConfig attribute: "model.sccsa", "optim.eps", "seed"
     parse: Callable[[str], object]
-    default: object
     doc: str
 
 
 _KEYS: List[_Key] = [
     # architecture
-    _Key("in_channels", _parse_int, 3, "input image channels"),
-    _Key("num_classes", _parse_int, 9, "segmentation classes incl. background"),
-    _Key("base_channels", _parse_int, 96, "stage-1 channel count C"),
-    _Key("stage_depths", _parse_ints, (2, 2, 8, 0, 8, 2, 2),
+    _Key("in_channels", "model.in_channels", _parse_int, "input image channels"),
+    _Key("num_classes", "model.num_classes", _parse_int,
+         "segmentation classes incl. background"),
+    _Key("base_channels", "model.base_channels", _parse_int, "stage-1 channel count C"),
+    _Key("stage_depths", "model.stage_depths", _parse_ints,
          "blocks per stage, encoder through decoder"),
-    _Key("top_k_schedule", _parse_auto_ints, None,
+    _Key("top_k_schedule", "model.top_k_schedule", _parse_auto_ints,
          "routed regions kept per stage; auto = 2,4,8,S^2,8,4,2"),
-    _Key("s", _parse_int, 7, "region partition factor S"),
-    _Key("input_hw", _parse_int, 224, "square input side, multiple of 32"),
-    _Key("sccsa_enabled", _parse_bool, True,
+    _Key("s", "model.s", _parse_int, "region partition factor S"),
+    _Key("input_hw", "model.input_hw", _parse_int, "square input side, multiple of 32"),
+    _Key("sccsa_enabled", "model.sccsa", _parse_bool,
          "channel+spatial skip fusion (plain concat fusion when false)"),
-    _Key("skip_mask", _parse_bools, (True, True, True),
+    _Key("skip_mask", "model.skip_mask", _parse_bools,
          "skip connections at 1/4, 1/8, 1/16 scale"),
-    _Key("scale_mode", _choice("per_head", "model_dim"), "per_head",
+    _Key("scale_mode", "model.scale_mode", _choice("per_head", "model_dim"),
          "attention logit scaling convention"),
-    _Key("qkv_bias", _parse_bool, True, "bias terms on q/k/v projections"),
+    _Key("qkv_bias", "model.qkv_bias", _parse_bool, "bias terms on q/k/v projections"),
     # optimizer
-    _Key("optimizer", _choice("sgd", "adam"), "sgd", "training regime preset"),
-    _Key("lr", _parse_float, _PRESET, "initial learning rate"),
-    _Key("momentum", _parse_float, _PRESET, "sgd momentum"),
-    _Key("weight_decay", _parse_float, _PRESET, "coupled weight decay"),
-    _Key("beta1", _parse_float, _PRESET, "adam first-moment decay"),
-    _Key("beta2", _parse_float, _PRESET, "adam second-moment decay"),
-    _Key("adam_eps", _parse_float, _PRESET, "adam denominator epsilon"),
-    _Key("schedule", _choice("constant", "cosine"), _PRESET,
+    _Key("optimizer", "optimizer_kind", _choice("sgd", "adam"), "training regime preset"),
+    _Key("lr", "optim.lr", _parse_float, "initial learning rate"),
+    _Key("momentum", "optim.momentum", _parse_float, "sgd momentum"),
+    _Key("weight_decay", "optim.weight_decay", _parse_float, "coupled weight decay"),
+    _Key("beta1", "optim.beta1", _parse_float, "adam first-moment decay"),
+    _Key("beta2", "optim.beta2", _parse_float, "adam second-moment decay"),
+    _Key("adam_eps", "optim.eps", _parse_float, "adam denominator epsilon"),
+    _Key("schedule", "optim.schedule", _choice("constant", "cosine"),
          "learning-rate schedule"),
-    _Key("epochs", _parse_int, _PRESET, "training epochs"),
-    _Key("batch_size", _parse_int, _PRESET, "samples per optimizer step"),
+    _Key("epochs", "optim.epochs", _parse_int, "training epochs"),
+    _Key("batch_size", "optim.batch_size", _parse_int, "samples per optimizer step"),
     # loss
-    _Key("loss_lambda", _parse_float, 0.6,
+    _Key("loss_lambda", "loss_lambda", _parse_float,
          "hybrid weight: lambda*dice + (1-lambda)*ce; 1 = dice only"),
     # augmentation
-    _Key("augment", _parse_bool, True, "apply training augmentations"),
-    _Key("p_hflip", _parse_float, 0.25, "horizontal flip probability"),
-    _Key("p_vflip", _parse_float, 0.25, "vertical flip probability"),
-    _Key("p_rot", _parse_float, 0.25, "right-angle rotation probability"),
-    _Key("p_cutout", _parse_float, 0.25, "cutout probability"),
-    _Key("cutout_lo", _parse_auto_int, None, "min cutout side; auto = hw/16"),
-    _Key("cutout_hi", _parse_auto_int, None, "max cutout side; auto = hw/4"),
+    _Key("augment", "augment", _parse_bool, "apply training augmentations"),
+    _Key("p_hflip", "aug.p_hflip", _parse_float, "horizontal flip probability"),
+    _Key("p_vflip", "aug.p_vflip", _parse_float, "vertical flip probability"),
+    _Key("p_rot", "aug.p_rot", _parse_float, "right-angle rotation probability"),
+    _Key("p_cutout", "aug.p_cutout", _parse_float, "cutout probability"),
+    _Key("cutout_lo", "aug.cutout_lo", _parse_auto_int, "min cutout side; auto = hw/16"),
+    _Key("cutout_hi", "aug.cutout_hi", _parse_auto_int, "max cutout side; auto = hw/4"),
     # data
-    _Key("data_root", str, "", "dataset directory (images/ + masks/)"),
-    _Key("synthetic", _parse_bool, False, "generate data instead of loading"),
-    _Key("synth_n", _parse_int, 64, "synthetic sample count"),
-    _Key("split_file", str, "", "id<TAB>split assignments; empty = derive"),
-    _Key("split_fractions", _parse_floats, (0.8, 0.1, 0.1),
+    _Key("data_root", "data_root", str, "dataset directory (images/ + masks/)"),
+    _Key("synthetic", "synthetic", _parse_bool, "generate data instead of loading"),
+    _Key("synth_n", "synth_n", _parse_int, "synthetic sample count"),
+    _Key("split_file", "split_file", str, "id<TAB>split assignments; empty = derive"),
+    _Key("split_fractions", "split_fractions", _parse_floats,
          "train/val/test fractions when deriving splits"),
-    _Key("kfold", _parse_int, 0, "k for k-fold validation splits; 0 = off"),
-    _Key("fold", _parse_int, 0, "validation fold index when kfold > 0"),
+    _Key("kfold", "kfold", _parse_int, "k for k-fold validation splits; 0 = off"),
+    _Key("fold", "fold", _parse_int, "validation fold index when kfold > 0"),
     # run
-    _Key("seed", _parse_int, 0, "master seed for init, shuffles, augment"),
-    _Key("eval_every", _parse_int, 25, "validation cadence in epochs; 0 = end only"),
-    _Key("eval_hausdorff", _parse_bool, False, "include Hausdorff in eval"),
-    _Key("threads", _parse_int, 1, "recorded only; pin BLAS threads with OPENBLAS_NUM_THREADS"),
+    _Key("seed", "seed", _parse_int, "master seed for init, shuffles, augment"),
+    _Key("eval_every", "eval_every", _parse_int,
+         "validation cadence in epochs; 0 = end only"),
+    _Key("eval_hausdorff", "eval_hausdorff", _parse_bool, "include Hausdorff in eval"),
+    _Key("threads", "threads", _parse_int,
+         "recorded only; pin BLAS threads with OPENBLAS_NUM_THREADS"),
 ]
 
 _BY_NAME = {k.name: k for k in _KEYS}
-
-_OPTIM_FIELD = {"lr": "lr", "momentum": "momentum", "weight_decay": "weight_decay",
-                "beta1": "beta1", "beta2": "beta2", "adam_eps": "eps",
-                "schedule": "schedule", "epochs": "epochs",
-                "batch_size": "batch_size"}
 
 
 @dataclass(frozen=True)
@@ -166,20 +166,20 @@ class RunConfig:
     model: ModelConfig
     optim: OptimConfig
     aug: AugmentConfig
-    optimizer_kind: str
-    augment: bool
-    loss_lambda: float
-    data_root: str
-    synthetic: bool
-    synth_n: int
-    split_file: str
-    split_fractions: Tuple[float, ...]
-    kfold: int
-    fold: int
-    seed: int
-    eval_every: int
-    eval_hausdorff: bool
-    threads: int
+    optimizer_kind: str = "sgd"
+    augment: bool = True
+    loss_lambda: float = 0.6
+    data_root: str = ""
+    synthetic: bool = False
+    synth_n: int = 64
+    split_file: str = ""
+    split_fractions: Tuple[float, ...] = (0.8, 0.1, 0.1)
+    kfold: int = 0
+    fold: int = 0
+    seed: int = 0
+    eval_every: int = 25
+    eval_hausdorff: bool = False
+    threads: int = 1
 
     def validate(self) -> "RunConfig":
         self.model.validate()
@@ -220,53 +220,21 @@ class RunConfig:
 
 
 def _assemble(values: Dict[str, object]) -> RunConfig:
-    optim = OptimConfig.preset(values["optimizer"])
-    overrides = {}
-    for key, field_name in _OPTIM_FIELD.items():
-        if values[key] is not _PRESET:
-            overrides[field_name] = values[key]
-    if overrides:
-        optim = replace(optim, **overrides)
-
-    model = ModelConfig(
-        in_channels=values["in_channels"],
-        num_classes=values["num_classes"],
-        base_channels=values["base_channels"],
-        stage_depths=tuple(values["stage_depths"]),
-        top_k_schedule=values["top_k_schedule"],
-        s=values["s"],
-        input_hw=values["input_hw"],
-        sccsa=values["sccsa_enabled"],
-        skip_mask=tuple(values["skip_mask"]),
-        scale_mode=values["scale_mode"],
-        qkv_bias=values["qkv_bias"],
-    )
-    aug = AugmentConfig(
-        p_hflip=values["p_hflip"], p_vflip=values["p_vflip"],
-        p_rot=values["p_rot"], p_cutout=values["p_cutout"],
-        cutout_lo=values["cutout_lo"], cutout_hi=values["cutout_hi"])
-    return RunConfig(
-        model=model, optim=optim, aug=aug,
-        optimizer_kind=values["optimizer"],
-        augment=values["augment"],
-        loss_lambda=values["loss_lambda"],
-        data_root=values["data_root"],
-        synthetic=values["synthetic"],
-        synth_n=values["synth_n"],
-        split_file=values["split_file"],
-        split_fractions=tuple(values["split_fractions"]),
-        kfold=values["kfold"],
-        fold=values["fold"],
-        seed=values["seed"],
-        eval_every=values["eval_every"],
-        eval_hausdorff=values["eval_hausdorff"],
-        threads=values["threads"],
-    ).validate()
+    """Build a RunConfig from the keys a text set; unset fields keep their
+    dataclass default, unset optimizer fields the selected preset's value."""
+    groups: Dict[str, Dict[str, object]] = {"model": {}, "optim": {}, "aug": {}, "": {}}
+    for name, value in values.items():
+        prefix, _, attr = _BY_NAME[name].field.rpartition(".")
+        groups[prefix][attr] = value
+    run = groups[""]
+    optim = OptimConfig.preset(run.get("optimizer_kind", RunConfig.optimizer_kind))
+    return RunConfig(model=ModelConfig(**groups["model"]),
+                     optim=replace(optim, **groups["optim"]),
+                     aug=AugmentConfig(**groups["aug"]), **run).validate()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    values: Dict[str, object] = {k.name: k.default for k in _KEYS}
-    seen = set()
+    values: Dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -280,9 +248,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         spec = _BY_NAME.get(key)
         if spec is None:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
             values[key] = spec.parse(raw)
         except ConfigError as e:
@@ -305,58 +272,16 @@ def default_config() -> RunConfig:
 
 def effective_text(cfg: RunConfig) -> str:
     """All keys with their effective values; parses back to ``cfg``."""
-    values: Dict[str, object] = {
-        "in_channels": cfg.model.in_channels,
-        "num_classes": cfg.model.num_classes,
-        "base_channels": cfg.model.base_channels,
-        "stage_depths": cfg.model.stage_depths,
-        "top_k_schedule": cfg.model.top_k_schedule,
-        "s": cfg.model.s,
-        "input_hw": cfg.model.input_hw,
-        "sccsa_enabled": cfg.model.sccsa,
-        "skip_mask": cfg.model.skip_mask,
-        "scale_mode": cfg.model.scale_mode,
-        "qkv_bias": cfg.model.qkv_bias,
-        "optimizer": cfg.optimizer_kind,
-        "lr": cfg.optim.lr,
-        "momentum": cfg.optim.momentum,
-        "weight_decay": cfg.optim.weight_decay,
-        "beta1": cfg.optim.beta1,
-        "beta2": cfg.optim.beta2,
-        "adam_eps": cfg.optim.eps,
-        "schedule": cfg.optim.schedule,
-        "epochs": cfg.optim.epochs,
-        "batch_size": cfg.optim.batch_size,
-        "loss_lambda": cfg.loss_lambda,
-        "augment": cfg.augment,
-        "p_hflip": cfg.aug.p_hflip,
-        "p_vflip": cfg.aug.p_vflip,
-        "p_rot": cfg.aug.p_rot,
-        "p_cutout": cfg.aug.p_cutout,
-        "cutout_lo": cfg.aug.cutout_lo,
-        "cutout_hi": cfg.aug.cutout_hi,
-        "data_root": cfg.data_root,
-        "synthetic": cfg.synthetic,
-        "synth_n": cfg.synth_n,
-        "split_file": cfg.split_file,
-        "split_fractions": cfg.split_fractions,
-        "kfold": cfg.kfold,
-        "fold": cfg.fold,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-        "eval_hausdorff": cfg.eval_hausdorff,
-        "threads": cfg.threads,
-    }
-    lines = [f"{k.name} = {_fmt(values[k.name])}" for k in _KEYS]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k.name} = {_fmt(attrgetter(k.field)(cfg))}\n" for k in _KEYS)
 
 
 def describe_keys() -> str:
     """Human-readable key table for --help-config."""
+    defaults = default_config()
     width = max(len(k.name) for k in _KEYS)
     lines = []
     for k in _KEYS:
-        default = "(from optimizer preset)" if k.default is _PRESET \
-            else _fmt(k.default)
+        default = "(from optimizer preset)" if k.field.startswith("optim.") \
+            else _fmt(attrgetter(k.field)(defaults))
         lines.append(f"{k.name:<{width}}  default {default:<16}  {k.doc}")
     return "\n".join(lines) + "\n"

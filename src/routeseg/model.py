@@ -271,10 +271,11 @@ def count_params(model: Model) -> Dict[str, int]:
 
 
 FLOP_CONVENTION = (
-    "MACs: one multiply-accumulate counted once; convs and affines cost "
-    "out_positions * k_h * k_w * (c_in / groups) * c_out, attention cost is "
-    "the routing + token model, norms cost 2 per element; activations, "
-    "gates, residual adds and rearrangements are not counted")
+    "MACs: one multiply-accumulate counted once; dense convs and affines "
+    "cost out_positions * k_h * k_w * c_in * c_out, depth-wise convs "
+    "out_positions * k_h * k_w * c_out, attention cost is the routing + "
+    "token model, norms cost 2 per element; activations, gates, residual "
+    "adds and rearrangements are not counted")
 
 
 def count_flops(cfg: ModelConfig) -> Dict[str, object]:

@@ -131,6 +131,13 @@ def test_train_cutout_larger_than_image_is_config_error(tmp_path, capsys):
     assert "cutout_hi 40 exceeds input_hw 32" in capsys.readouterr().err
 
 
+def test_train_non_finite_split_fractions_is_config_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "nan.cfg"), QUICK_CFG.replace(
+        "split_fractions = 1,0,0", "split_fractions = nan,0,0"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "nan.cfg:13: split_fractions" in capsys.readouterr().err
+
+
 def test_train_without_data_is_data_error(tmp_path, capsys):
     cfg = write(str(tmp_path / "nodata.cfg"),
                 "synthetic = false\nnum_classes = 2\n")

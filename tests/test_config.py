@@ -1,10 +1,32 @@
+import dataclasses
+import glob
 import os
 
 import pytest
 
-from routeseg.config import (default_config, describe_keys, effective_text,
-                             load_config, parse_config_text)
-from routeseg.model import ConfigError
+from routeseg.config import (_KEYS, RunConfig, default_config, describe_keys,
+                             effective_text, load_config, parse_config_text)
+from routeseg.data import AugmentConfig
+from routeseg.model import ConfigError, ModelConfig
+from routeseg.optim import OptimConfig
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "*.cfg")))
+
+# effective_text(default_config()) as it is embedded in checkpoints
+DEFAULT_TEXT = (
+    "in_channels = 3\n" "num_classes = 9\n" "base_channels = 96\n"
+    "stage_depths = 2,2,8,0,8,2,2\n" "top_k_schedule = auto\n" "s = 7\n"
+    "input_hw = 224\n" "sccsa_enabled = true\n" "skip_mask = true,true,true\n"
+    "scale_mode = per_head\n" "qkv_bias = true\n" "optimizer = sgd\n"
+    "lr = 0.05\n" "momentum = 0.9\n" "weight_decay = 0.0001\n" "beta1 = 0.9\n"
+    "beta2 = 0.999\n" "adam_eps = 1e-08\n" "schedule = constant\n"
+    "epochs = 400\n" "batch_size = 24\n" "loss_lambda = 0.6\n"
+    "augment = true\n" "p_hflip = 0.25\n" "p_vflip = 0.25\n" "p_rot = 0.25\n"
+    "p_cutout = 0.25\n" "cutout_lo = auto\n" "cutout_hi = auto\n"
+    "data_root = \n" "synthetic = false\n" "synth_n = 64\n" "split_file = \n"
+    "split_fractions = 0.8,0.1,0.1\n" "kfold = 0\n" "fold = 0\n" "seed = 0\n"
+    "eval_every = 25\n" "eval_hausdorff = false\n" "threads = 1\n")
 
 
 def test_empty_text_yields_full_defaults():
@@ -60,6 +82,33 @@ def test_effective_text_round_trips_exactly():
     assert effective_text(again) == text
 
 
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_configs_round_trip(path):
+    run = load_config(path)
+    text = effective_text(run)
+    again = parse_config_text(text)
+    assert again == run
+    assert effective_text(again) == text
+
+
+def test_shipped_configs_are_found():
+    assert len(SHIPPED_CONFIGS) >= 12
+
+
+def test_default_effective_text_is_pinned():
+    assert effective_text(default_config()) == DEFAULT_TEXT
+
+
+def test_every_config_field_is_set_by_exactly_one_key():
+    fields = [f"model.{f.name}" for f in dataclasses.fields(ModelConfig)]
+    fields += [f"aug.{f.name}" for f in dataclasses.fields(AugmentConfig)]
+    fields += [f"optim.{f.name}" for f in dataclasses.fields(OptimConfig)
+               if f.name != "kind"]
+    fields += [f.name for f in dataclasses.fields(RunConfig)
+               if f.name not in ("model", "optim", "aug")]
+    assert sorted(k.field for k in _KEYS) == sorted(fields)
+
+
 def test_auto_values_serialize_and_parse():
     run = default_config()
     assert run.model.top_k_schedule is None
@@ -80,6 +129,9 @@ def test_auto_values_serialize_and_parse():
     ("augment = maybe\n", "expected a boolean", 1),
     ("optimizer = rmsprop\n", "expected one of", 1),
     ("scale_mode = global\n", "expected one of", 1),
+    ("lr = nan\n", "expected a finite number", 1),
+    ("s = 2\nweight_decay = inf\n", "expected a finite number", 2),
+    ("split_fractions = nan,0,0\n", "expected a finite number", 1),
 ])
 def test_parse_errors_name_source_and_line(text, fragment, lineno):
     with pytest.raises(ConfigError, match=fragment) as exc:
