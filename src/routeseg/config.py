@@ -276,12 +276,21 @@ def effective_text(cfg: RunConfig) -> str:
 
 
 def describe_keys() -> str:
-    """Human-readable key table for --help-config."""
+    """Human-readable key table for --help-config.
+
+    An optimizer key's default depends on the preset, so its row shows
+    both: ``sgd 0.05 / adam 0.0005``. Columns are sized to their widest
+    entry, so every description starts in the same column.
+    """
     defaults = default_config()
-    width = max(len(k.name) for k in _KEYS)
-    lines = []
-    for k in _KEYS:
-        default = "(from optimizer preset)" if k.field.startswith("optim.") \
-            else _fmt(attrgetter(k.field)(defaults))
-        lines.append(f"{k.name:<{width}}  default {default:<16}  {k.doc}")
-    return "\n".join(lines) + "\n"
+    presets = [(kind, OptimConfig.preset(kind)) for kind in ("sgd", "adam")]
+
+    def default(field: str) -> str:
+        if not field.startswith("optim."):
+            return _fmt(attrgetter(field)(defaults))
+        get = attrgetter(field.removeprefix("optim."))
+        return " / ".join(f"{kind} {_fmt(get(p))}" for kind, p in presets)
+
+    rows = [(k.name, default(k.field), k.doc) for k in _KEYS]
+    wn, wd = (max(len(r[i]) for r in rows) for i in (0, 1))
+    return "".join(f"{name:<{wn}}  default {d:<{wd}}  {doc}\n" for name, d, doc in rows)

@@ -370,7 +370,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = a.data
-    u = _GELU_C * (x + 0.044715 * np.power(x, 3))
+    u = _GELU_C * (x + 0.044715 * (x * x * x))
     th = np.tanh(u)
     out = 0.5 * x * (1.0 + th)
 
@@ -547,6 +547,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     depth-wise w [kh, kw, 1, C] with C > 1 filters channel c with
     w[:, :, 0, c] alone, so Cout = C. Any other weight shape is an error.
     Output extent floor((H + 2*padding - kh)/stride) + 1.
+
+    Both kinds loop over the kh*kw kernel taps, forward and backward: tap
+    (i, j) multiplies the strided slice xp[:, i::stride, j::stride] of the
+    padded input by w[i, j, 0] (depth-wise) or by the GEMM @ w[i, j] (dense).
+    There is no im2col buffer of kh*kw input copies (118 MB in float32 for
+    the 7x7 fusion conv at [1, 56, 56, 192]).
     """
     _nonempty(x, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
@@ -559,47 +565,41 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
                          f"over the {cin} channels of input {x.shape}")
     if h + 2 * padding < kh or ww_ + 2 * padding < kw:
         raise ValueError(f"conv2d: kernel {kh}x{kw} exceeds padded input {h}x{ww_}+{padding}")
-    _check_dtype(x, w, "conv2d")
-    parents = (x, w, b) if b is not None else (x, w)
+    # a flag, not b itself, for back(): a closure holding a tape-bound Tensor
+    # would make the tape a reference cycle that only the cyclic collector frees
+    with_bias = b is not None
+    if with_bias and b.shape != (cout,):
+        raise ValueError(f"conv2d: bias {b.shape} does not match {cout} output channels")
+    parents = (x, w, b) if with_bias else (x, w)
+    for p in parents[1:]:
+        _check_dtype(x, p, "conv2d")
     tape = _merge_tape(*parents)
 
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [N, Ho, Wo, Cin, kh, kw]
-    ho, wo = win.shape[1], win.shape[2]
-    wd = w.data
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (ww_ + 2 * padding - kw) // stride + 1
+    taps = [(i, j, np.s_[:, i:i + ho * stride:stride, j:j + wo * stride:stride])
+            for i in range(kh) for j in range(kw)]
+    wt = w.data[:, :, 0] if depthwise else w.data  # per tap: [C] scales or [C, Cout]
 
-    if depthwise:
-        out = np.einsum("nhwcij,ijc->nhwc", win, wd[:, :, 0, :], optimize=True)
-    else:
-        out = np.einsum("nhwcij,ijco->nhwo", win, wd, optimize=True)
-    if b is not None:
-        _check_dtype(x, b, "conv2d")
-        out = out + b.data
-
-    pad_h, pad_w = h + 2 * padding, ww_ + 2 * padding
-    # a flag, not b itself: a closure holding a tape-bound Tensor would make
-    # the tape a reference cycle that only the cyclic collector frees
-    with_bias = b is not None
+    def mix(a, m):  # one tap's product, a [N, Ho, Wo, .] with m
+        return a * m if depthwise else (a.reshape(-1, m.shape[0]) @ m).reshape(n, ho, wo, -1)
+    out = np.zeros((n, ho, wo, cout), dtype=xp.dtype)
+    for i, j, sl in taps:
+        out += mix(xp[sl], wt[i, j])
+    if with_bias:
+        out += b.data
 
     def back(g):
-        if depthwise:
-            gw = np.einsum("nhwcij,nhwc->ijc", win, g, optimize=True)[:, :, None, :]
-            # each tap's input gradient is g scaled per channel, so the
-            # [N,Ho,Wo,C,kh,kw] patch gradient is never materialised
-            tap = lambda i, j: g * wd[i, j, 0]
-        else:
-            gw = np.einsum("nhwcij,nhwo->ijco", win, g, optimize=True)
-            dpatch = np.einsum("nhwo,ijco->nhwcij", g, wd, optimize=True)
-            tap = lambda i, j: dpatch[:, :, :, :, i, j]
-        dxp = np.zeros((n, pad_h, pad_w, cin), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += tap(i, j)
-        dx = dxp[:, padding:pad_h - padding, padding:pad_w - padding, :] if padding else dxp
-        return (dx, gw, g.sum(axis=(0, 1, 2))) if with_bias else (dx, gw)
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        gw = np.empty((kh, kw, wcin, cout), dtype=g.dtype)
+        g2 = g.reshape(-1, cout)
+        for i, j, sl in taps:
+            gw[i, j] = (xp[sl] * g).sum((0, 1, 2)) if depthwise else xp[sl].reshape(-1, cin).T @ g2
+            dxp[sl] += mix(g, wt[i, j].T)
+        dx = dxp[:, padding:padding + h, padding:padding + ww_]
+        return (dx, gw, g2.sum(axis=0)) if with_bias else (dx, gw)
 
     return _make(out, tape, "conv2d", parents, back)
 

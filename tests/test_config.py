@@ -197,4 +197,17 @@ def test_describe_keys_covers_every_key():
     for name in ("base_channels", "stage_depths", "optimizer", "lr",
                  "loss_lambda", "p_cutout", "split_fractions", "threads"):
         assert name in text
-    assert "(from optimizer preset)" in text
+    assert "sgd 0.05 / adam 0.0005" in text
+
+
+def test_describe_keys_aligns_descriptions_and_names_both_presets():
+    rows = describe_keys().splitlines()
+    assert len(rows) == len(_KEYS)
+    starts = set()
+    for k, row in zip(_KEYS, rows):
+        assert row.startswith(k.name + " ") and row.endswith("  " + k.doc)
+        starts.add(len(row) - len(k.doc))
+    assert len(starts) == 1
+    lr = next(row for k, row in zip(_KEYS, rows) if k.name == "lr")
+    assert (f"sgd {OptimConfig.preset('sgd').lr!r} / "
+            f"adam {OptimConfig.preset('adam').lr!r}") in lr

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routeseg import tensor as T
+from routeseg.gradcheck import grad_check
 from routeseg.tensor import Grads, Tape, Tensor, backward
 
 
@@ -76,6 +78,21 @@ def test_sigmoid_extremes_stay_finite():
     y = T.sigmoid(Tensor(np.array([-1000.0, 0.0, 1000.0]))).data
     assert np.all(np.isfinite(y))
     np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
+
+
+def test_gelu_and_its_gradient_match_the_closed_form():
+    mags = np.array([0.0, 1e-3, 0.5, 3.0, 10.0, 1e3])
+    x = np.concatenate([mags, -mags])
+    c = np.sqrt(2.0 / np.pi)
+    th = np.tanh(c * (x + 0.044715 * x ** 3))
+    want = 0.5 * x * (1.0 + th)
+    dwant = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * c * (1.0 + 3 * 0.044715 * x ** 2)
+    tape = Tape()
+    a = leaf(tape, x)
+    y = T.gelu(a)
+    grads = backward(T.sum_(y))
+    np.testing.assert_allclose(y.data, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[a], dwant, rtol=1e-12, atol=1e-12)
 
 
 def test_softmax_extreme_logits_no_overflow():
@@ -352,6 +369,64 @@ def test_depthwise_conv_equals_per_channel_convs():
         single = T.conv2d(Tensor(x[..., c:c + 1]), Tensor(w[..., c:c + 1]),
                           None, stride=1, padding=1).data
         np.testing.assert_allclose(full[..., c], single[..., 0], atol=1e-12)
+
+
+def check_conv_against_loop_and_differences(x, w, b, stride, padding, max_coords=None):
+    """Forward against naive_conv; x, w, b gradients against central differences."""
+    groups = 1 if w.shape[2] == x.shape[3] else x.shape[3]
+    out = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                   stride=stride, padding=padding)
+    np.testing.assert_allclose(out.data, naive_conv(x, w, b, stride, padding, groups),
+                               rtol=1e-12, atol=1e-12)
+    # a fixed random projection, so no gradient cancels in a plain sum
+    r = np.random.default_rng(0).standard_normal(out.shape)
+    params = {"x": x, "w": w} if b is None else {"x": x, "w": w, "b": b}
+    report = grad_check(
+        lambda p: T.sum_(T.mul(T.conv2d(p["x"], p["w"], p.get("b"), stride=stride,
+                                        padding=padding), Tensor(r))),
+        params, step=1e-3, tol=1e-6, max_coords_per_param=max_coords)
+    assert report.passed, report.summary()
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, k // 2))
+    lo = max(1, k - 2 * padding)
+    h, w_ = draw(st.integers(lo, lo + 5)), draw(st.integers(lo, lo + 5))
+    n = draw(st.sampled_from([1, 2]))
+    depthwise = draw(st.booleans())
+    cin = draw(st.integers(2, 4) if depthwise else st.integers(1, 3))
+    wshape = (k, k, 1, cin) if depthwise else (k, k, cin, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal(wshape[3]) if draw(st.booleans()) else None
+    return (rng.standard_normal((n, h, w_, cin)), rng.standard_normal(wshape), b,
+            stride, padding)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+def test_conv2d_property_matches_loop_and_central_differences(case):
+    check_conv_against_loop_and_differences(*case, max_coords=12)
+
+
+@pytest.mark.parametrize("xshape,wshape,padding", [
+    ((1, 7, 6, 3), (7, 7, 3, 2), 3),   # dense 7x7, the fusion conv's geometry
+    ((2, 6, 5, 3), (5, 5, 1, 3), 2),   # depth-wise 5x5, the LCE's geometry, N = 2
+])
+def test_conv2d_fusion_and_lce_shapes_match_loop_and_differences(xshape, wshape, padding):
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(wshape[3])
+    check_conv_against_loop_and_differences(rng.standard_normal(xshape),
+                                            rng.standard_normal(wshape), b, 1, padding)
+
+
+def test_conv2d_rejects_bias_of_wrong_shape():
+    x = Tensor(np.zeros((1, 4, 4, 3)))
+    for w, bshape in [((3, 3, 3, 2), (1,)), ((3, 3, 3, 2), (3,)), ((3, 3, 1, 3), (1, 3))]:
+        with pytest.raises(ValueError, match="bias"):
+            T.conv2d(x, Tensor(np.zeros(w)), Tensor(np.zeros(bshape)), padding=1)
 
 
 def test_conv2d_shape_and_group_errors():
