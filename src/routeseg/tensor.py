@@ -14,6 +14,17 @@ the node's gradient, so memory is released in reverse creation order.
 Only leaf gradients survive, in the returned ``Grads``. A tape is
 therefore single-use; a second ``backward`` on it raises ValueError.
 
+Dtype rule: the tensor operands of one op share one dtype, and ops never
+promote; a mix raises ValueError. A python scalar operand of a binary op
+takes its partner's dtype.
+
+Each op family shares its plumbing: ``_operands`` checks the dtype rule
+and finds the one tape that all operands of a multi-operand op share;
+``_binary`` records the broadcasting two-operand ops and sums each
+gradient back to its operand's shape (``_unbroadcast``); ``_normalize``
+is the affine normalization behind ``layer_norm`` and ``batch_norm``;
+``_spread`` broadcasts a reduction's gradient back over the reduced axes.
+
 Layout convention throughout the package: channel-last, row-major,
 images as [N, H, W, C].
 """
@@ -137,16 +148,17 @@ def tensor(values, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype))
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    """Wrap python scalars as constants of the companion tensor's dtype."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
+def _operands(op: str, *ts: Tensor) -> Optional[Tape]:
+    """The tape an op's tensor operands share, or None if all are constants.
 
-
-def _merge_tape(*ts: Tensor) -> Optional[Tape]:
+    Raises ValueError unless every operand has the first one's dtype and
+    the bound operands share one tape.
+    """
+    dtype = ts[0].dtype
     tape = None
     for t in ts:
+        if t.dtype != dtype:
+            raise ValueError(f"{op}: dtype mismatch {dtype.name} vs {t.dtype.name}")
         if t.tape is None:
             continue
         if tape is None:
@@ -154,11 +166,6 @@ def _merge_tape(*ts: Tensor) -> Optional[Tape]:
         elif tape is not t.tape:
             raise ValueError("operands bound to different tapes")
     return tape
-
-
-def _check_dtype(a: Tensor, b: Tensor, op: str):
-    if a.dtype != b.dtype:
-        raise ValueError(f"{op}: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
 
 
 def _nonempty(t: Tensor, op: str):
@@ -172,19 +179,6 @@ def _make(out_data, tape: Optional[Tape], op: str, parents: Sequence[Tensor],
         return Tensor(out_data)
     ids = tuple(p.node for p in parents)
     return Tensor(out_data, tape=tape, node=tape._append(op, ids, backward))
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape the operand actually had."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Grads:
@@ -252,64 +246,57 @@ def backward(loss: Tensor) -> Grads:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_dtype(a, b, "add")
-    tape = _merge_tape(a, b)
-    out = a.data + b.data
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient down to the shape the operand actually had."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _binary(op: str, a, b, rule: Callable) -> Tensor:
+    """One broadcasting two-operand op.
+
+    ``rule(ad, bd)`` returns the forward value and a function from the
+    output gradient to the two operand gradients at the broadcast shape;
+    each is then summed back to its operand's shape. A python scalar
+    operand becomes a constant of the other operand's dtype.
+    """
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    tape = _operands(op, a, b)
+    out, grads = rule(a.data, b.data)
     ash, bsh = a.shape, b.shape
 
     def back(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        ga, gb = grads(g)
+        return _unbroadcast(ga, ash), _unbroadcast(gb, bsh)
 
-    return _make(out, tape, "add", (a, b), back)
+    return _make(out, tape, op, (a, b), back)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, lambda ad, bd: (ad + bd, lambda g: (g, g)))
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_dtype(a, b, "sub")
-    tape = _merge_tape(a, b)
-    out = a.data - b.data
-    ash, bsh = a.shape, b.shape
-
-    def back(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
-
-    return _make(out, tape, "sub", (a, b), back)
+    return _binary("sub", a, b, lambda ad, bd: (ad - bd, lambda g: (g, -g)))
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_dtype(a, b, "mul")
-    tape = _merge_tape(a, b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
-
-    def back(g):
-        return _unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)
-
-    return _make(out, tape, "mul", (a, b), back)
+    return _binary("mul", a, b, lambda ad, bd: (ad * bd, lambda g: (g * bd, g * ad)))
 
 
 def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_dtype(a, b, "div")
-    tape = _merge_tape(a, b)
-    out = a.data / b.data
-    ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
-
-    def back(g):
-        ga = _unbroadcast(g / bd, ash)
-        gb = _unbroadcast(-g * ad / (bd * bd), bsh)
-        return ga, gb
-
-    return _make(out, tape, "div", (a, b), back)
+    return _binary("div", a, b, lambda ad, bd: (
+        ad / bd, lambda g: (g / bd, -g * ad / (bd * bd))))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -402,9 +389,7 @@ def transpose(a: Tensor, perm) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = list(parts)
-    for p in parts[1:]:
-        _check_dtype(parts[0], p, "concat")
-    tape = _merge_tape(*parts)
+    tape = _operands("concat", *parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
@@ -415,40 +400,30 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _make(out, tape, "concat", parts, back)
 
 
+def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back over the reduced axes."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     ash = a.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, ash).astype(g.dtype, copy=True),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, ash).astype(g.dtype, copy=True),)
+        return (_spread(g, ash, axis, keepdims).astype(g.dtype, copy=True),)
 
     return _make(out, a.tape, "sum", (a,), back)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     ash = a.shape
-    if axis is None:
-        count = a.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for i in ax:
-            count *= ash[i]
     out = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.size // max(np.size(out), 1)
 
     def back(g):
-        if axis is None:
-            gg = np.broadcast_to(g, ash)
-        else:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            gg = g if keepdims else np.expand_dims(g, ax)
-            gg = np.broadcast_to(gg, ash)
-        return ((gg / count).astype(g.dtype),)
+        return ((_spread(g, ash, axis, keepdims) / count).astype(g.dtype),)
 
     return _make(out, a.tape, "mean", (a,), back)
 
@@ -459,24 +434,14 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading dims."""
-    _check_dtype(a, b, "matmul")
     _nonempty(a, "matmul")
     _nonempty(b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: bad ranks {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    tape = _merge_tape(a, b)
-    out = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
-
-    def back(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return _unbroadcast(ga, ash), _unbroadcast(gb, bsh)
-
-    return _make(out, tape, "matmul", (a, b), back)
+    return _binary("matmul", a, b, lambda ad, bd: (np.matmul(ad, bd), lambda g: (
+        np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g))))
 
 
 def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -571,9 +536,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     if with_bias and b.shape != (cout,):
         raise ValueError(f"conv2d: bias {b.shape} does not match {cout} output channels")
     parents = (x, w, b) if with_bias else (x, w)
-    for p in parents[1:]:
-        _check_dtype(x, p, "conv2d")
-    tape = _merge_tape(*parents)
+    tape = _operands("conv2d", *parents)
 
     xp = x.data
     if padding:
@@ -604,30 +567,42 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     return _make(out, tape, "conv2d", parents, back)
 
 
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, var, axes,
+               batch_stats: bool, eps: float) -> Tensor:
+    """(x - mu) / sqrt(var + eps) * gamma + beta, gamma and beta per channel.
+
+    ``mu`` and ``var`` are statistics over ``axes``. With ``batch_stats``
+    they were computed from x, and the input gradient flows through them;
+    otherwise they are constants.
+    """
+    tape = _operands(op, x, gamma, beta)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    gd = gamma.data
+    out = xhat * gd + beta.data
+
+    def back(g):
+        channel_sum = tuple(range(g.ndim - 1))
+        gbeta = g.sum(axis=channel_sum)
+        ggamma = (g * xhat).sum(axis=channel_sum)
+        gx_hat = g * gd
+        if batch_stats:
+            m1 = gx_hat.mean(axis=axes, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=axes, keepdims=True)
+            gx = inv * (gx_hat - m1 - xhat * m2)
+        else:
+            gx = gx_hat * inv
+        return gx.astype(g.dtype), ggamma, gbeta
+
+    return _make(out, tape, op, (x, gamma, beta), back)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last (channel) axis, then affine."""
     _nonempty(x, "layer_norm")
-    _check_dtype(x, gamma, "layer_norm")
-    tape = _merge_tape(x, gamma, beta)
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = xhat * gamma.data + beta.data
-    gd = gamma.data
-
-    def back(g):
-        sum_axes = tuple(range(g.ndim - 1))
-        gbeta = g.sum(axis=sum_axes)
-        ggamma = (g * xhat).sum(axis=sum_axes)
-        gx_hat = g * gd
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx.astype(g.dtype), ggamma, gbeta
-
-    return _make(out, tape, "layer_norm", (x, gamma, beta), back)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    return _normalize("layer_norm", x, gamma, beta, mu, var, -1, True, eps)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -641,40 +616,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     _nonempty(x, "batch_norm")
     if x.ndim != 4:
         raise ValueError(f"batch_norm: want [N,H,W,C], got {x.shape}")
-    tape = _merge_tape(x, gamma, beta)
     xd = x.data
     axes = (0, 1, 2)
-    if training:
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
-        m = xd.shape[0] * xd.shape[1] * xd.shape[2]
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu
-        # unbiased variance for the running buffer, biased for normalization
-        running_var *= (1.0 - momentum)
-        running_var += momentum * (var * m / max(m - 1, 1))
-    else:
-        mu = running_mean.astype(xd.dtype)
-        var = running_var.astype(xd.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = xhat * gamma.data + beta.data
-    gd = gamma.data
-
-    if training:
-        def back(g):
-            gbeta = g.sum(axis=axes)
-            ggamma = (g * xhat).sum(axis=axes)
-            gx_hat = g * gd
-            m1 = gx_hat.mean(axis=axes, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=axes, keepdims=True)
-            gx = inv * (gx_hat - m1 - xhat * m2)
-            return gx.astype(g.dtype), ggamma, gbeta
-    else:
-        def back(g):
-            gbeta = g.sum(axis=axes)
-            ggamma = (g * xhat).sum(axis=axes)
-            gx = (g * gd * inv).astype(g.dtype)
-            return gx, ggamma, gbeta
-
-    return _make(out, tape, "batch_norm", (x, gamma, beta), back)
+    if not training:
+        return _normalize("batch_norm", x, gamma, beta, running_mean.astype(xd.dtype),
+                          running_var.astype(xd.dtype), axes, False, eps)
+    mu = xd.mean(axis=axes)
+    var = xd.var(axis=axes)
+    # normalize first: it rejects bad operands before the buffers change
+    out = _normalize("batch_norm", x, gamma, beta, mu, var, axes, True, eps)
+    m = xd.shape[0] * xd.shape[1] * xd.shape[2]
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mu
+    # unbiased variance for the running buffer, biased for normalization
+    running_var *= (1.0 - momentum)
+    running_var += momentum * (var * m / max(m - 1, 1))
+    return out

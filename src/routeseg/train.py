@@ -31,7 +31,7 @@ import numpy as np
 from .data import AugmentConfig, SegSample, SplitMix64, augment, derive_seed, stack_batch
 from .losses import cross_entropy_loss, dice_loss, one_hot
 from .metrics import MetricsReport, evaluate_predictions
-from .model import Model, load_into_model, read_records, save_model
+from .model import CheckpointError, Model, load_into_model, read_records, save_model
 from .optim import Optimizer, OptimConfig, cosine_lr
 from .params import walk_tensors
 from .tensor import Tape, Tensor, add, backward, mul, softmax_lastdim
@@ -153,6 +153,12 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
             setattr(state, field_name,
                     int(extras[key]) if field_name != "best_dsc"
                     else float(extras[key]))
+        # a record nothing took, such as another optimizer's slots, means the
+        # checkpoint comes from a different kind of run
+        unused = sorted(set(extras) - set(opt.state_records()) - set(_state_records(state)))
+        if unused:
+            raise CheckpointError(f"{resume_from}: record {unused[0]} is not used by "
+                                  f"this run ({len(unused)} unused records)")
 
     own_stream = None
     if log_stream is None and out_dir is not None:

@@ -104,6 +104,15 @@ def test_interrupted_then_resumed_run_matches(quick_run, tmp_path, capsys):
         slurp(quick_run["last"], "rb")
 
 
+def test_resume_with_another_optimizer_is_data_error(quick_run, tmp_path, capsys):
+    cfg = write(str(tmp_path / "sgd.cfg"),
+                QUICK_CFG.replace("optimizer = adam", "optimizer = sgd"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--resume", quick_run["last"]]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "is not used by this run" in err
+
+
 def test_train_missing_config_is_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -158,6 +158,74 @@ def test_backward_div():
     np.testing.assert_allclose(grads[b], [-1.5])
 
 
+def sum_to_shape(full_grad, shape):
+    """Add each entry of a full-shape gradient into the operand entry it was
+    broadcast from: a reference for the adjoint of broadcasting."""
+    size = int(np.prod(shape))
+    src = np.broadcast_to(np.arange(size).reshape(shape), full_grad.shape)
+    return np.bincount(src.ravel(), weights=full_grad.ravel(), minlength=size).reshape(shape)
+
+
+# numpy forward, and the gradients of sum(op(a, b) * r) with respect to a
+# and b broadcast to the output's batch shape
+BROADCAST_OPS = {
+    "add": (np.add, lambda a, b, r: (r, r)),
+    "sub": (np.subtract, lambda a, b, r: (r, -r)),
+    "mul": (np.multiply, lambda a, b, r: (r * b, r * a)),
+    "div": (np.divide, lambda a, b, r: (r / b, -r * a / (b * b))),
+    "matmul": (np.matmul, lambda a, b, r: (r @ np.swapaxes(b, -1, -2),
+                                           np.swapaxes(a, -1, -2) @ r)),
+}
+
+
+@st.composite
+def broadcast_cases(draw):
+    """Two operand shapes that broadcast together.
+
+    Each keeps a suffix of one common shape, so either side may lack
+    leading axes or be rank 0, and sets any of its axes to 1. For matmul
+    that is the batch shape, and the [m, k] and [k, n] matrices follow.
+    """
+    op = draw(st.sampled_from(sorted(BROADCAST_OPS)))
+    common = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+
+    def operand():
+        kept = common[draw(st.integers(0, len(common))):]
+        return tuple(1 if draw(st.booleans()) else n for n in kept)
+
+    ashape, bshape = operand(), operand()
+    if op == "matmul":
+        m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+        ashape, bshape = ashape + (m, k), bshape + (k, n)
+    return op, ashape, bshape, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(broadcast_cases())
+def test_broadcasting_ops_match_numpy_and_sum_gradients_over_broadcast_axes(case):
+    op, ashape, bshape, seed = case
+    forward, full_grads = BROADCAST_OPS[op]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(ashape)
+    b = rng.uniform(0.5, 2.0, bshape) * rng.choice([-1.0, 1.0], bshape)  # divisors
+    out = forward(a, b)
+    r = rng.standard_normal(out.shape)
+    tape = Tape()
+    ta, tb = leaf(tape, a), leaf(tape, b)
+    y = getattr(T, op)(ta, tb)
+    np.testing.assert_array_equal(y.data, out)
+    grads = backward(T.sum_(T.mul(y, Tensor(r))))
+
+    core = 2 if op == "matmul" else 0
+    batch = out.shape[:out.ndim - core]
+    ga, gb = full_grads(np.broadcast_to(a, batch + ashape[len(ashape) - core:]),
+                        np.broadcast_to(b, batch + bshape[len(bshape) - core:]), r)
+    for t, arr, full in ((ta, a, ga), (tb, b, gb)):
+        assert grads[t].shape == arr.shape
+        np.testing.assert_allclose(grads[t], sum_to_shape(full, arr.shape),
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_backward_through_shape_ops():
     rng = np.random.default_rng(3)
     c = rng.standard_normal((2, 3))
@@ -286,11 +354,48 @@ def test_backward_requires_scalar_bound_loss():
         backward(Tensor(np.float64(1.0)))
 
 
-def test_mixed_dtypes_rejected():
-    a = Tensor(np.zeros(2, dtype=np.float32))
-    b = Tensor(np.zeros(2, dtype=np.float64))
+def f32(*shape):
+    return Tensor(np.ones(shape, dtype=np.float32))
+
+
+def f64(*shape):
+    return Tensor(np.ones(shape, dtype=np.float64))
+
+
+def batch_norm_with(gamma, beta):
+    return T.batch_norm(f32(1, 2, 2, 3), gamma, beta, np.zeros(3), np.ones(3), training=True)
+
+
+# one float64 operand among float32 ones, for every op with several operands
+MIXED_DTYPE_CALLS = {
+    "add": lambda: T.add(f32(2), f64(2)),
+    "sub": lambda: T.sub(f32(2), f64(2)),
+    "mul": lambda: T.mul(f32(2), f64(2)),
+    "div": lambda: T.div(f32(2), f64(2)),
+    "matmul": lambda: T.matmul(f32(2, 3), f64(3, 2)),
+    "dense": lambda: T.dense(f32(2, 3), f32(3, 2), f64(2)),
+    "concat": lambda: T.concat([f32(2), f32(2), f64(2)], axis=0),
+    "conv2d-weight": lambda: T.conv2d(f32(1, 4, 4, 2), f64(3, 3, 2, 2), padding=1),
+    "conv2d-bias": lambda: T.conv2d(f32(1, 4, 4, 2), f32(3, 3, 2, 2), f64(2), padding=1),
+    "layer_norm-gamma": lambda: T.layer_norm(f32(2, 3), f64(3), f32(3)),
+    "layer_norm-beta": lambda: T.layer_norm(f32(2, 3), f32(3), f64(3)),
+    "batch_norm-gamma": lambda: batch_norm_with(f64(3), f32(3)),
+    "batch_norm-beta": lambda: batch_norm_with(f32(3), f64(3)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MIXED_DTYPE_CALLS))
+def test_mixed_dtypes_rejected(call):
+    with pytest.raises(ValueError, match="dtype mismatch float32 vs float64"):
+        MIXED_DTYPE_CALLS[call]()
+
+
+def test_batch_norm_rejects_operands_before_updating_running_stats():
+    rm, rv = np.zeros(3), np.ones(3)
     with pytest.raises(ValueError, match="dtype mismatch"):
-        T.add(a, b)
+        T.batch_norm(f32(1, 2, 2, 3), f32(3), f64(3), rm, rv, training=True)
+    np.testing.assert_array_equal(rm, np.zeros(3))
+    np.testing.assert_array_equal(rv, np.ones(3))
 
 
 def test_mixed_tapes_rejected():
@@ -473,6 +578,20 @@ def test_batch_norm_updates_running_stats_in_training_only():
     np.testing.assert_array_equal(rv, frozen_v)
     expect = (x - frozen_m) / np.sqrt(frozen_v + 1e-5)
     np.testing.assert_allclose(y, expect, atol=1e-12)
+
+
+def test_eval_batch_norm_gradients_treat_running_stats_as_constants():
+    rng = np.random.default_rng(10)
+    rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+
+    def bn_eval(p):
+        y = T.batch_norm(p["x"], p["g"], p["b"], rm, rv, training=False)
+        return T.sum_(T.mul(y, p["x"]))
+
+    report = grad_check(bn_eval, {"x": rng.standard_normal((2, 4, 4, 3)),
+                                  "g": rng.standard_normal(3) + 1.5,
+                                  "b": rng.standard_normal(3)})
+    assert report.passed, report.summary()
 
 
 def test_batch_norm_wants_nhwc():

@@ -10,7 +10,7 @@ import pytest
 
 from routeseg.config import load_config
 from routeseg.data import AugmentConfig, synth_dataset
-from routeseg.model import build_model, read_records
+from routeseg.model import CheckpointError, build_model, read_records
 from routeseg.optim import OptimConfig
 from routeseg.params import named_arrays
 from routeseg.train import (NumericAbort, TrainState, evaluate,
@@ -189,6 +189,18 @@ def test_resume_rejects_non_training_checkpoint(tmp_path):
     with pytest.raises(Exception, match="opt|state"):
         train_loop(build_model(micro_config(), seed=0), samples, [],
                    tiny_optim(), resume_from=bare)
+
+
+def test_resume_rejects_another_optimizers_checkpoint(tmp_path):
+    samples = synth_dataset(2, 32, 2, seed=17, in_channels=1)
+    out = str(tmp_path / "adam")
+    train_loop(build_model(micro_config(), seed=0), samples, [],
+               tiny_optim(epochs=1), eval_every=0, out_dir=out)
+    # SGD takes Adam's second moment "v" as its momentum; the "m" slots are left
+    with pytest.raises(CheckpointError, match=r"record opt\.\S+\.m is not used"):
+        train_loop(build_model(micro_config(), seed=0), samples, [],
+                   tiny_optim(epochs=2, kind="sgd", momentum=0.9),
+                   resume_from=os.path.join(out, "last.ckpt"))
 
 
 def test_augmented_run_differs_but_stays_deterministic():
