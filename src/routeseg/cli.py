@@ -3,18 +3,16 @@ dump-attention, gradcheck.
 
 One command per process. Exit codes: 0 success, 1 gradcheck or internal
 failure, 2 configuration error, 3 data or artifact error, 4 numeric
-abort during training. ``train --threads N`` records N as the ``threads``
-key of the effective config; ``eval`` and ``infer`` accept the flag and
-ignore it. No command sets the thread count of numpy's BLAS.
-Results repeat byte for byte at a fixed BLAS thread count; different
-counts can round BLAS reductions differently, so pin the count with
-``OPENBLAS_NUM_THREADS`` in the environment of the process.
+abort during training; every unusable checkpoint, a resumed one
+included, is a data error. No command sets the thread count of numpy's
+BLAS. Results repeat byte for byte at a fixed BLAS thread count;
+different counts can round BLAS reductions differently, so pin the count
+with ``OPENBLAS_NUM_THREADS`` in the environment of the process.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -42,12 +40,6 @@ PARAM_TOLERANCE = 0.05
 
 def _say(*parts):
     print(" ".join(str(p) for p in parts))
-
-
-def _apply_threads(run: RunConfig, threads: Optional[int]) -> RunConfig:
-    if threads is None:
-        return run
-    return dataclasses.replace(run, threads=threads).validate()
 
 
 def _split_samples(samples: List[SegSample], run: RunConfig
@@ -105,7 +97,7 @@ def _read_input_image(path: str, run: RunConfig) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
-    run = _apply_threads(load_config(args.config), args.threads)
+    run = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     text = effective_text(run)
     with open(os.path.join(args.out, "effective.cfg"), "w", encoding="utf-8") as f:
@@ -385,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint to resume from; train_log.jsonl is cut back to it")
     p.add_argument("--stop-after-epochs", type=int, default=None,
                    help="interrupt after this many epochs (schedule unchanged)")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -397,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--hausdorff", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="predict a mask for one image")
@@ -406,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--probs", action="store_true",
                    help="also write per-class probability maps")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("report", help="parameter and FLOP table for a config")

@@ -1,6 +1,7 @@
 """Run configuration: plain ``key = value`` text, every key defaulted.
 
-Unknown keys and duplicate keys are rejected naming the offender. The
+Unknown keys and duplicate keys are rejected naming the offender; the
+retired ``threads`` key, which older checkpoints embed, is ignored. The
 effective (defaults-merged) configuration serializes back to the same
 format via :func:`effective_text`; parsing that text reproduces the
 config exactly, and it is the text embedded in checkpoints and echoed
@@ -154,11 +155,11 @@ _KEYS: List[_Key] = [
     _Key("eval_every", "eval_every", _parse_int,
          "validation cadence in epochs; 0 = end only"),
     _Key("eval_hausdorff", "eval_hausdorff", _parse_bool, "include Hausdorff in eval"),
-    _Key("threads", "threads", _parse_int,
-         "recorded only; pin BLAS threads with OPENBLAS_NUM_THREADS"),
 ]
 
 _BY_NAME = {k.name: k for k in _KEYS}
+# keys that older checkpoints embed; accepted and ignored
+_RETIRED = ("threads",)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,6 @@ class RunConfig:
     seed: int = 0
     eval_every: int = 25
     eval_hausdorff: bool = False
-    threads: int = 1
 
     def validate(self) -> "RunConfig":
         self.model.validate()
@@ -214,8 +214,6 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -245,6 +243,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in _RETIRED:
+            continue
         spec = _BY_NAME.get(key)
         if spec is None:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")

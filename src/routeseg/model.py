@@ -129,10 +129,8 @@ class Model:
 
     def records(self) -> Dict[str, np.ndarray]:
         """Parameters then buffers, dotted names, insertion-ordered."""
-        out = dict(
-            (name, t.data) for name, t in walk_tensors(self.params))
-        for name, buf in walk_buffers(self.params):
-            out[name] = buf
+        out = {name: t.data for name, t in walk_tensors(self.params)}
+        out.update(walk_buffers(self.params))
         return out
 
     def forward(self, x, training: bool = False,
@@ -451,22 +449,28 @@ def save_model(path: str, model: Model, config_text: str = "",
     write_records(path, config_text, records)
 
 
-def load_into_model(model: Model, records: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Copy matching records into the model; return the leftovers.
+def take_records(records: Dict[str, np.ndarray], wanted: Dict[str, np.ndarray],
+                 source: str = "checkpoint"):
+    """Pop each wanted name from ``records`` and copy it into its array.
 
-    Every model parameter and buffer must be present with an identical
-    shape and dtype, otherwise the checkpoint does not describe this
-    architecture and loading aborts.
+    Every wanted record must be present with an identical shape and
+    dtype, otherwise ``source`` does not describe this run and loading
+    aborts.
     """
-    wanted = model.records()
-    extras = dict(records)
     for name, dst in wanted.items():
-        src = extras.pop(name, None)
+        src = records.pop(name, None)
         if src is None:
-            raise CheckpointError(f"checkpoint is missing {name}")
+            raise CheckpointError(f"{source} is missing {name}")
         if src.shape != dst.shape or src.dtype != dst.dtype:
             raise CheckpointError(
-                f"{name}: checkpoint has {src.dtype}{src.shape}, "
-                f"model wants {dst.dtype}{dst.shape}")
+                f"{name}: {source} has {src.dtype}{src.shape}, "
+                f"this run wants {dst.dtype}{dst.shape}")
         dst[...] = src
+
+
+def load_into_model(model: Model, records: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Copy every model parameter and buffer out of ``records``; return the
+    leftovers."""
+    extras = dict(records)
+    take_records(extras, model.records())
     return extras

@@ -124,26 +124,14 @@ class Optimizer:
                 p.data -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
     def state_records(self) -> Dict[str, np.ndarray]:
-        """Buffers under ``opt.`` names for embedding in checkpoints."""
+        """Buffers under ``opt.`` names for embedding in checkpoints.
+
+        The slot arrays are the live buffers, so copying records into them
+        restores the slots; ``opt.t`` is a copy the caller reads back.
+        """
         out: Dict[str, np.ndarray] = {
             "opt.t": np.array(float(self.t), dtype=np.float64)}
         for name, _ in self.named:
             for key, buf in self.slots[name].items():
                 out[f"opt.{name}.{key}"] = buf
         return out
-
-    def load_state_records(self, records: Dict[str, np.ndarray]):
-        t = records.get("opt.t")
-        if t is None:
-            raise OptimConfigError("checkpoint has no optimizer state")
-        self.t = int(t)
-        for name, _ in self.named:
-            for key, buf in self.slots[name].items():
-                src = records.get(f"opt.{name}.{key}")
-                if src is None:
-                    raise OptimConfigError(f"checkpoint missing opt.{name}.{key}")
-                if src.shape != buf.shape or src.dtype != buf.dtype:
-                    raise OptimConfigError(
-                        f"opt.{name}.{key}: {src.dtype}{src.shape} does not "
-                        f"match {buf.dtype}{buf.shape}")
-                buf[...] = src

@@ -2,10 +2,10 @@
 
 Network parameters are frozen-ish dataclasses holding Tensors; batch-norm
 running statistics are plain ndarrays (buffers, excluded from gradients
-and parameter counts). Generic walkers flatten nested structures into
-dotted names for checkpoints, optimizers, and counting, and ``bind``
-rebuilds a structure with every Tensor watched on a tape while sharing
-buffer arrays by reference.
+and parameter counts). One walk flattens a nested structure into dotted
+names for checkpoints, optimizers and counting; one rebuild replaces
+each Tensor, which ``bind`` uses to watch every Tensor on a tape while
+sharing buffer arrays by reference.
 """
 
 from __future__ import annotations
@@ -19,35 +19,46 @@ import numpy as np
 from .tensor import Tape, Tensor
 
 
-def walk_tensors(obj, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-    """Yield (dotted name, Tensor) over a nested parameter structure."""
-    if isinstance(obj, Tensor):
+def _join(prefix: str, key) -> str:
+    return f"{prefix}.{key}" if prefix else str(key)
+
+
+def _leaves(obj, prefix: str = "") -> Iterator[Tuple[str, object]]:
+    """Yield (dotted name, leaf) for every Tensor and ndarray, in field order."""
+    if isinstance(obj, (Tensor, np.ndarray)):
         yield prefix, obj
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
-            head = f"{prefix}.{f.name}" if prefix else f.name
-            yield from walk_tensors(getattr(obj, f.name), head)
+            yield from _leaves(getattr(obj, f.name), _join(prefix, f.name))
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            head = f"{prefix}.{i}" if prefix else str(i)
-            yield from walk_tensors(item, head)
-    # buffers (ndarray), ints, strings, None: not parameters
+            yield from _leaves(item, _join(prefix, i))
+    # ints, strings, None: not state
+
+
+def map_tensors(obj, fn, prefix: str = ""):
+    """Rebuild a structure with ``fn(dotted name, tensor)`` in place of each
+    Tensor; buffers and scalars pass through by reference."""
+    if isinstance(obj, Tensor):
+        return fn(prefix, obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.replace(obj, **{
+            f.name: map_tensors(getattr(obj, f.name), fn, _join(prefix, f.name))
+            for f in dataclasses.fields(obj)})
+    if isinstance(obj, (list, tuple)):
+        items = [map_tensors(v, fn, _join(prefix, i)) for i, v in enumerate(obj)]
+        return items if isinstance(obj, list) else tuple(items)
+    return obj
+
+
+def walk_tensors(obj, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
+    """Yield (dotted name, Tensor) over a nested parameter structure."""
+    return ((n, v) for n, v in _leaves(obj, prefix) if isinstance(v, Tensor))
 
 
 def walk_buffers(obj, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
     """Yield (dotted name, ndarray) for non-Tensor array fields (BN stats)."""
-    if isinstance(obj, np.ndarray):
-        yield prefix, obj
-    elif isinstance(obj, Tensor):
-        return
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            head = f"{prefix}.{f.name}" if prefix else f.name
-            yield from walk_buffers(getattr(obj, f.name), head)
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            head = f"{prefix}.{i}" if prefix else str(i)
-            yield from walk_buffers(item, head)
+    return ((n, v) for n, v in _leaves(obj, prefix) if isinstance(v, np.ndarray))
 
 
 def bind(obj, tape: Tape):
@@ -56,17 +67,8 @@ def bind(obj, tape: Tape):
     Buffers and scalars pass through by reference, so in-place running
     stat updates made through the bound copy reach the original.
     """
-    if isinstance(obj, Tensor):
-        return tape.watch(Tensor(obj.data)) if obj.tape is None else obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        updates = {f.name: bind(getattr(obj, f.name), tape)
-                   for f in dataclasses.fields(obj)}
-        return dataclasses.replace(obj, **updates)
-    if isinstance(obj, list):
-        return [bind(v, tape) for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(bind(v, tape) for v in obj)
-    return obj
+    return map_tensors(obj, lambda _, t: tape.watch(Tensor(t.data))
+                       if t.tape is None else t)
 
 
 def named_arrays(obj) -> dict:
@@ -76,21 +78,7 @@ def named_arrays(obj) -> dict:
 
 def substitute(obj, mapping: dict, prefix: str = ""):
     """Rebuild a structure, replacing Tensors whose dotted name is mapped."""
-    if isinstance(obj, Tensor):
-        return mapping.get(prefix, obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        updates = {}
-        for f in dataclasses.fields(obj):
-            head = f"{prefix}.{f.name}" if prefix else f.name
-            updates[f.name] = substitute(getattr(obj, f.name), mapping, head)
-        return dataclasses.replace(obj, **updates)
-    if isinstance(obj, list):
-        return [substitute(v, mapping, f"{prefix}.{i}" if prefix else str(i))
-                for i, v in enumerate(obj)]
-    if isinstance(obj, tuple):
-        return tuple(substitute(v, mapping, f"{prefix}.{i}" if prefix else str(i))
-                     for i, v in enumerate(obj))
-    return obj
+    return map_tensors(obj, lambda name, t: mapping.get(name, t), prefix)
 
 
 def count_scalars(obj) -> int:

@@ -144,10 +144,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def tensor(values, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(values, dtype=dtype))
-
-
 def _operands(op: str, *ts: Tensor) -> Optional[Tape]:
     """The tape an op's tensor operands share, or None if all are constants.
 

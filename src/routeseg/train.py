@@ -31,7 +31,8 @@ import numpy as np
 from .data import AugmentConfig, SegSample, SplitMix64, augment, derive_seed, stack_batch
 from .losses import cross_entropy_loss, dice_loss, one_hot
 from .metrics import MetricsReport, evaluate_predictions
-from .model import CheckpointError, Model, load_into_model, read_records, save_model
+from .model import (CheckpointError, Model, load_into_model, read_records,
+                    save_model, take_records)
 from .optim import Optimizer, OptimConfig, cosine_lr
 from .params import walk_tensors
 from .tensor import Tape, Tensor, add, backward, mul, softmax_lastdim
@@ -144,21 +145,18 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     if resume_from is not None:
         _, records = read_records(resume_from)
         extras = load_into_model(model, records)
-        opt.load_state_records(extras)
-        for field_name, key in (("epoch", "state.epoch"), ("step", "state.step"),
-                                ("best_dsc", "state.best_dsc")):
-            if key not in extras:
-                raise ValueError(f"{resume_from}: not a training checkpoint, "
-                                 f"missing {key}")
-            setattr(state, field_name,
-                    int(extras[key]) if field_name != "best_dsc"
-                    else float(extras[key]))
+        run_state = {**opt.state_records(), **_state_records(state)}
+        take_records(extras, run_state, resume_from)
         # a record nothing took, such as another optimizer's slots, means the
         # checkpoint comes from a different kind of run
-        unused = sorted(set(extras) - set(opt.state_records()) - set(_state_records(state)))
-        if unused:
+        if extras:
+            unused = sorted(extras)
             raise CheckpointError(f"{resume_from}: record {unused[0]} is not used by "
                                   f"this run ({len(unused)} unused records)")
+        opt.t = int(run_state["opt.t"])
+        state = TrainState(epoch=int(run_state["state.epoch"]),
+                           step=int(run_state["state.step"]),
+                           best_dsc=float(run_state["state.best_dsc"]))
 
     own_stream = None
     if log_stream is None and out_dir is not None:

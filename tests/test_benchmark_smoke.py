@@ -2,8 +2,8 @@
 
 ``perfbench/tracing.py`` rebinds names in the routeseg modules (for
 example ``routeseg.blocks.conv2d`` or ``routeseg.train.dice_loss``) and
-``perfbench/run.py`` checks the outputs of each workload. A traced run of
-the two small workloads fails here when a change to ``src/`` removes a
+``perfbench/run.py`` checks the outputs of each workload. A short traced
+run of every workload fails here when a change to ``src/`` removes a
 rebound name or breaks an output check.
 """
 
@@ -17,7 +17,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["eval_hd64", "train_micro64"])
+@pytest.mark.parametrize("workload", ["eval_hd64", "train_micro64",
+                                      "infer_base", "train_base"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -8,7 +8,7 @@ import routeseg.tensor
 from routeseg.cli import main
 from routeseg.data import (read_pnm, save_dataset, synth_dataset,
                            write_split_file)
-from routeseg.model import read_records
+from routeseg.model import read_records, write_records
 
 QUICK_CFG = """\
 in_channels = 1
@@ -111,6 +111,20 @@ def test_resume_with_another_optimizer_is_data_error(quick_run, tmp_path, capsys
                  "--resume", quick_run["last"]]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "is not used by this run" in err
+
+
+@pytest.mark.parametrize("dropped,named", [("state.", "state.epoch"),
+                                           ("opt.", "opt.t")])
+def test_resume_from_checkpoint_missing_run_state_is_data_error(
+        quick_run, tmp_path, capsys, dropped, named):
+    text, records = read_records(quick_run["last"])
+    kept = {k: v for k, v in records.items() if not k.startswith(dropped)}
+    ckpt = str(tmp_path / "partial.ckpt")
+    write_records(ckpt, text, kept)
+    assert main(["train", "--config", quick_run["cfg"], "--out",
+                 str(tmp_path / "o"), "--resume", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"is missing {named}" in err
 
 
 def test_train_missing_config_is_config_error(tmp_path, capsys):
@@ -225,6 +239,17 @@ def test_eval_hausdorff_flag_populates_field(quick_run, capsys):
 def image_path(quick_run):
     return os.path.join(quick_run["data"], "images",
                         quick_run["ids"][0] + ".pgm")
+
+
+def test_checkpoint_with_retired_threads_key_still_loads(quick_run, tmp_path,
+                                                        capsys):
+    text, records = read_records(quick_run["ckpt"])
+    assert "threads" not in text
+    old = str(tmp_path / "old.ckpt")
+    write_records(old, text + "threads = 1\n", records)
+    assert main(["eval", "--checkpoint", old, "--data", quick_run["data"]]) == 0
+    assert main(["infer", "--checkpoint", old, "--image", image_path(quick_run),
+                 "--out", str(tmp_path / "pred")]) == 0
 
 
 def test_infer_writes_consistent_prediction_and_probs(quick_run, tmp_path,

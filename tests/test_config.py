@@ -26,7 +26,7 @@ DEFAULT_TEXT = (
     "p_cutout = 0.25\n" "cutout_lo = auto\n" "cutout_hi = auto\n"
     "data_root = \n" "synthetic = false\n" "synth_n = 64\n" "split_file = \n"
     "split_fractions = 0.8,0.1,0.1\n" "kfold = 0\n" "fold = 0\n" "seed = 0\n"
-    "eval_every = 25\n" "eval_hausdorff = false\n" "threads = 1\n")
+    "eval_every = 25\n" "eval_hausdorff = false\n")
 
 
 def test_empty_text_yields_full_defaults():
@@ -97,6 +97,13 @@ def test_shipped_configs_are_found():
 
 def test_default_effective_text_is_pinned():
     assert effective_text(default_config()) == DEFAULT_TEXT
+
+
+def test_retired_threads_key_is_ignored():
+    # checkpoints written before the key was retired embed a threads line
+    run = parse_config_text(DEFAULT_TEXT + "threads = 4\n")
+    assert run == default_config()
+    assert effective_text(run) == DEFAULT_TEXT
 
 
 def test_every_config_field_is_set_by_exactly_one_key():
@@ -195,7 +202,7 @@ def test_load_config_errors_carry_path_and_line(tmp_path):
 def test_describe_keys_covers_every_key():
     text = describe_keys()
     for name in ("base_channels", "stage_depths", "optimizer", "lr",
-                 "loss_lambda", "p_cutout", "split_fractions", "threads"):
+                 "loss_lambda", "p_cutout", "split_fractions"):
         assert name in text
     assert "sgd 0.05 / adam 0.0005" in text
 

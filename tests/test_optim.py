@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from routeseg.model import CheckpointError, take_records
 from routeseg.optim import Optimizer, OptimConfig, OptimConfigError, cosine_lr
 from routeseg.tensor import Tensor
 
@@ -189,8 +190,12 @@ def test_state_records_round_trip():
     fresh_named = params_of([1.0, 2.0])
     fresh_named[0][1].data[...] = named[0][1].data    # resume value and state
     fresh = Optimizer(OptimConfig.preset("adam"), fresh_named)
-    fresh.load_state_records(records)
-    assert fresh.t == 3
+    # the restore a resumed run makes: take into the live slots, read t back
+    wanted = fresh.state_records()
+    leftovers = dict(records)
+    take_records(leftovers, wanted)
+    fresh.t = int(wanted["opt.t"])
+    assert fresh.t == 3 and not leftovers
     np.testing.assert_array_equal(fresh.slots["p0"]["m"], opt.slots["p0"]["m"])
     np.testing.assert_array_equal(fresh.slots["p0"]["v"], opt.slots["p0"]["v"])
 
@@ -202,13 +207,13 @@ def test_state_records_round_trip():
 def test_load_state_records_validation():
     named = params_of([1.0])
     opt = Optimizer(OptimConfig(), named)
-    with pytest.raises(OptimConfigError, match="no optimizer state"):
-        opt.load_state_records({})
-    with pytest.raises(OptimConfigError, match="missing opt.p0.v"):
-        opt.load_state_records({"opt.t": np.array(1.0)})
-    with pytest.raises(OptimConfigError, match="does not match"):
-        opt.load_state_records({"opt.t": np.array(1.0),
-                                "opt.p0.v": np.zeros((2,))})
+    with pytest.raises(CheckpointError, match="missing opt.t"):
+        take_records({}, opt.state_records())
+    with pytest.raises(CheckpointError, match="missing opt.p0.v"):
+        take_records({"opt.t": np.array(1.0)}, opt.state_records())
+    with pytest.raises(CheckpointError, match=r"opt.p0.v: checkpoint has float64\(2,\)"):
+        take_records({"opt.t": np.array(1.0), "opt.p0.v": np.zeros((2,))},
+                     opt.state_records())
 
 
 def test_step_with_zero_lr_is_identity():
