@@ -11,13 +11,22 @@ which is what ``full_attention_reference`` checks against.
 Routing is a discrete selection: gradients flow through the gathered
 keys/values and the projections, never through the top-k scores, so the
 affinity is computed off-tape.
+
+Routing is inspected through one hook. Inside ``recording(rec)`` every
+``routed_attention`` call appends its routing, post-softmax weights,
+partition and top_k to ``rec.traces``, in call order; ``dump-attention``
+reads one block's trace from there. The same record pins routing: after
+``rec.begin_pass()`` has seen a recorded pass, each later pass replays
+the recorded selections, which is how gradcheck holds the discrete
+selection fixed while it perturbs the inputs. Outside ``recording`` the
+forward pass neither records nor pins.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +86,7 @@ class RoutingResult:
 
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Forward-pass tap for visualization."""
+    """One routed attention call, as a :class:`RoutingRecord` holds it."""
 
     routing: RoutingResult
     weights: np.ndarray          # [N, R, heads, T, k*T] post-softmax
@@ -164,51 +173,55 @@ def project_qkv(xr: Tensor, p: RoutingAttentionParams) -> Tuple[Tensor, Tensor, 
     return q, k, v
 
 
-class RoutingPin:
-    """Record top-k selections on one pass, replay them on later passes.
+class RoutingRecord:
+    """Routed attention calls made inside :func:`recording`.
 
-    Finite-difference checks must difference the function the tape
-    differentiates, and the tape holds the discrete selection constant;
-    pinning removes the measure-zero selection-boundary discontinuities
-    from the comparison. Call :meth:`begin_pass` before each forward.
+    ``traces`` holds one :class:`AttentionTrace` per call since the last
+    :meth:`begin_pass`, in call order. Calling :meth:`begin_pass` before
+    each forward pins the routing: once a pass has been recorded, every
+    later pass replays its top-k selections in call order. Finite-difference
+    checks must difference the function the tape differentiates, and the
+    tape holds the discrete selection constant; pinning removes the
+    measure-zero selection-boundary discontinuities from the comparison.
     """
 
     def __init__(self):
-        self._seq: list = []
+        self.traces: List[AttentionTrace] = []
+        self._replay: List[np.ndarray] = []
         self._pos = 0
-        self._recording = True
 
     def begin_pass(self):
-        if self._seq:
-            self._recording = False
+        if self.traces and not self._replay:
+            self._replay = [t.routing.index for t in self.traces]
+        self.traces = []
         self._pos = 0
 
-    def filter(self, index: np.ndarray) -> np.ndarray:
-        if self._recording:
-            self._seq.append(index)
+    def select(self, index: np.ndarray) -> np.ndarray:
+        """The live selection, or the recorded one on a replayed pass."""
+        if not self._replay:
             return index
-        if self._pos >= len(self._seq):
-            raise RuntimeError("routing pin replayed past its recording")
-        pinned = self._seq[self._pos]
+        if self._pos >= len(self._replay):
+            raise RuntimeError("routing replayed past its recording")
+        pinned = self._replay[self._pos]
         self._pos += 1
         if pinned.shape != index.shape:
-            raise RuntimeError(f"routing pin shape {pinned.shape} does not "
+            raise RuntimeError(f"recorded routing {pinned.shape} does not "
                                f"match live routing {index.shape}")
         return pinned
 
 
-_ACTIVE_PIN: Optional[RoutingPin] = None
+_RECORD: Optional[RoutingRecord] = None
 
 
 @contextmanager
-def pinned_routing(pin: RoutingPin):
-    global _ACTIVE_PIN
-    previous = _ACTIVE_PIN
-    _ACTIVE_PIN = pin
+def recording(rec: RoutingRecord):
+    global _RECORD
+    previous = _RECORD
+    _RECORD = rec
     try:
-        yield pin
+        yield rec
     finally:
-        _ACTIVE_PIN = previous
+        _RECORD = previous
 
 
 def route_regions(q: Tensor, k: Tensor, spec: PartitionSpec,
@@ -226,8 +239,8 @@ def route_regions(q: Tensor, k: Tensor, spec: PartitionSpec,
     adj = np.matmul(qr, np.swapaxes(kr, -1, -2))
     order = np.argsort(-adj, axis=-1, kind="stable")
     index = order[:, :, :top_k].astype(np.int64)
-    if _ACTIVE_PIN is not None:
-        index = _ACTIVE_PIN.filter(index)
+    if _RECORD is not None:
+        index = _RECORD.select(index)
     return RoutingResult(qr, kr, adj, index)
 
 
@@ -241,13 +254,13 @@ def gather_kv(k: Tensor, v: Tensor, index: np.ndarray) -> Tuple[Tensor, Tensor]:
 
 
 def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
-                    p: RoutingAttentionParams,
-                    want_weights: bool = False):
+                    p: RoutingAttentionParams) -> Tuple[Tensor, np.ndarray]:
     """Multi-head attention of region tokens over their gathered set.
 
-    Heads are contiguous channel slices. Output is concatenated heads
-    through the output projection; the local-context term is added by the
-    caller in spatial layout.
+    Heads are contiguous channel slices. Returns the concatenated heads
+    through the output projection, and the post-softmax weights
+    [N, R, heads, T, k*T]; the local-context term is added by the caller
+    in spatial layout.
     """
     n, r, t, c = q.shape
     l = kg.shape[2]
@@ -266,10 +279,7 @@ def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
     out = matmul(attn, vh)                          # [N,R,h,T,dh]
     out = transpose(out, (0, 1, 3, 2, 4))
     out = reshape(out, (n, r, t, c))
-    out = dense(out, p.wo, p.bo)
-    if want_weights:
-        return out, attn.data
-    return out
+    return dense(out, p.wo, p.bo), attn.data
 
 
 def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
@@ -279,22 +289,17 @@ def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
 
 
 def routed_attention(x: Tensor, p: RoutingAttentionParams, spec: PartitionSpec,
-                     top_k: int, capture: bool = False):
+                     top_k: int) -> Tensor:
     """partition -> project -> route -> gather -> attend -> merge (+LCE)."""
     xr = region_partition(x, spec)
     q, k, v = project_qkv(xr, p)
     routing = route_regions(q, k, spec, top_k)
     kg, vg = gather_kv(k, v, routing.index)
-    if capture:
-        att, weights = token_attention(q, kg, vg, p, want_weights=True)
-    else:
-        att = token_attention(q, kg, vg, p)
-        weights = None
+    att, weights = token_attention(q, kg, vg, p)
+    if _RECORD is not None:
+        _RECORD.traces.append(AttentionTrace(routing, weights, spec, top_k))
     out = region_merge(att, spec)
-    out = out + local_context(region_merge(v, spec), p)
-    if capture:
-        return out, AttentionTrace(routing, weights, spec, top_k)
-    return out
+    return out + local_context(region_merge(v, spec), p)
 
 
 # ---------------------------------------------------------------------------

@@ -63,22 +63,13 @@ class BlockParams:
             mlp_b2=Tensor(zeros((dim,), dtype)),
         )
 
-def block_forward(x: Tensor, p: BlockParams, spec: PartitionSpec, top_k: int,
-                  capture: bool = False):
+def block_forward(x: Tensor, p: BlockParams, spec: PartitionSpec,
+                  top_k: int) -> Tensor:
     z = x + conv2d(x, p.dw, p.dw_b, stride=1, padding=1)
-    normed = layer_norm(z, p.ln1_g, p.ln1_b)
-    if capture:
-        att, trace = routed_attention(normed, p.attn, spec, top_k, capture=True)
-    else:
-        att = routed_attention(normed, p.attn, spec, top_k)
-        trace = None
-    z = z + att
+    z = z + routed_attention(layer_norm(z, p.ln1_g, p.ln1_b), p.attn, spec, top_k)
     h = dense(gelu(dense(layer_norm(z, p.ln2_g, p.ln2_b), p.mlp_w1, p.mlp_b1)),
               p.mlp_w2, p.mlp_b2)
-    out = z + h
-    if capture:
-        return out, trace
-    return out
+    return z + h
 
 
 # ---------------------------------------------------------------------------

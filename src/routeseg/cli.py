@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .attention import RoutingRecord, recording
 from .config import (RunConfig, describe_keys, effective_text, load_config,
                      parse_config_text)
 from .data import (DataError, SegSample, kfold_splits, load_dataset,
@@ -286,8 +287,10 @@ def cmd_dump_attention(args) -> int:
         raise ConfigError(f"block {args.block} outside [0, {depth}) "
                           f"for stage {args.stage}")
     image = _read_input_image(args.image, run)
-    _, trace = model.forward(Tensor(image[None]), training=False,
-                             capture=(stage_idx, args.block))
+    with recording(RoutingRecord()) as rec:
+        model.forward(Tensor(image[None]), training=False)
+    first = sum(model.cfg.stage_depths[:stage_idx])
+    trace = rec.traces[first + args.block % depth]
     spec = trace.spec
     side = spec.feat_h
     if not (0 <= args.row < side and 0 <= args.col < side):

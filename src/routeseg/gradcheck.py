@@ -283,17 +283,17 @@ def standard_suite() -> list:
     micro_labels = rng.integers(0, 2, size=(1, 32, 32))
     micro_onehot = np.eye(2)[micro_labels]
 
-    from .attention import RoutingPin, pinned_routing
+    from .attention import RoutingRecord, recording
 
     # pin the top-k selections: the tape differentiates the loss with the
     # discrete routing held fixed, so the difference quotient must too
-    micro_pin = RoutingPin()
+    micro_routing = RoutingRecord()
 
     def micro_net(p):
         m = Model(micro.cfg, substitute(micro.params, p), micro.specs,
                   micro.top_k)
-        with pinned_routing(micro_pin):
-            micro_pin.begin_pass()
+        with recording(micro_routing):
+            micro_routing.begin_pass()
             logits = m.forward(p["x"], training=True)
         return losses.hybrid_loss(logits, Tensor(micro_onehot), lam=0.6)
 

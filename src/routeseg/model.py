@@ -133,10 +133,8 @@ class Model:
         out.update(walk_buffers(self.params))
         return out
 
-    def forward(self, x, training: bool = False,
-                capture: Optional[Tuple[int, int]] = None):
-        """Logits [N, H, W, K]; with ``capture=(stage, block)`` (0-based)
-        also the attention trace from that block."""
+    def forward(self, x, training: bool = False) -> Tensor:
+        """Logits [N, H, W, K]."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
         n = x.shape[0] if x.ndim else 0
@@ -148,42 +146,23 @@ class Model:
                 f"forward wants [N>=1, {self.cfg.input_hw}, {self.cfg.input_hw}, "
                 f"{self.cfg.in_channels}], got {x.shape}")
         p = self.params
-        trace = None
-
-        def run_stage(h, idx):
-            nonlocal trace
-            for b, blk in enumerate(p.stages[idx]):
-                if capture == (idx, b) or (
-                        capture is not None and capture[0] == idx
-                        and capture[1] == -1 and b == len(p.stages[idx]) - 1):
-                    h, trace = block_forward(h, blk, self.specs[idx],
-                                             self.top_k[idx], capture=True)
-                else:
-                    h = block_forward(h, blk, self.specs[idx], self.top_k[idx])
-            return h
-
         h = patch_embed(x, p.embed)
         skips = []
-        for i in range(3):
-            h = run_stage(h, i)
-            skips.append(h)
-            h = patch_merge(h, p.merges[i])
-        h = run_stage(h, 3)
-        for j in range(3):
-            h = patch_expand(h, p.expands[j])
-            fuse = p.fuses[j]
-            if fuse is not None:
-                skip = skips[2 - j]
+        for i, blocks in enumerate(p.stages):
+            if i > 3:
+                h = patch_expand(h, p.expands[i - 4])
+                fuse = p.fuses[i - 4]
                 if isinstance(fuse, FusionParams):
-                    h = channel_spatial_fuse(skip, h, fuse, training=training)
-                else:
-                    h = plain_fuse(skip, h, fuse)
-            h = run_stage(h, 4 + j)
+                    h = channel_spatial_fuse(skips[6 - i], h, fuse, training=training)
+                elif fuse is not None:
+                    h = plain_fuse(skips[6 - i], h, fuse)
+            for blk in blocks:
+                h = block_forward(h, blk, self.specs[i], self.top_k[i])
+            if i < 3:
+                skips.append(h)
+                h = patch_merge(h, p.merges[i])
         h = patch_expand(h, p.final_expand)
-        logits = dense(h, p.head_w, p.head_b)
-        if capture is not None:
-            return logits, trace
-        return logits
+        return dense(h, p.head_w, p.head_b)
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
@@ -455,17 +434,19 @@ def take_records(records: Dict[str, np.ndarray], wanted: Dict[str, np.ndarray],
 
     Every wanted record must be present with an identical shape and
     dtype, otherwise ``source`` does not describe this run and loading
-    aborts.
+    aborts. All records are checked before any is copied, so a failed
+    load leaves every wanted array as it was.
     """
     for name, dst in wanted.items():
-        src = records.pop(name, None)
+        src = records.get(name)
         if src is None:
             raise CheckpointError(f"{source} is missing {name}")
         if src.shape != dst.shape or src.dtype != dst.dtype:
             raise CheckpointError(
                 f"{name}: {source} has {src.dtype}{src.shape}, "
                 f"this run wants {dst.dtype}{dst.shape}")
-        dst[...] = src
+    for name, dst in wanted.items():
+        dst[...] = records.pop(name)
 
 
 def load_into_model(model: Model, records: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

@@ -42,10 +42,17 @@ AUGMENT_TAG = 202
 
 
 class NumericAbort(RuntimeError):
-    """Loss became non-finite; the CLI maps this to exit code 4."""
+    """Loss or a gradient became non-finite; the CLI maps this to exit code 4.
 
-    def __init__(self, epoch: int, step: int, value: float):
-        super().__init__(f"non-finite loss {value} at epoch {epoch}, step {step}")
+    ``value`` is the step's loss. ``tensor`` names the first parameter, in
+    walk order, whose gradient is non-finite; it is None when the loss
+    itself is.
+    """
+
+    def __init__(self, epoch: int, step: int, value: float,
+                 tensor: Optional[str] = None):
+        what = f"loss {value}" if tensor is None else f"gradient of {tensor}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
         self.value = value
@@ -188,7 +195,8 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
         The tape, bound parameters and activations live only in this
         frame, so they are freed before the optimizer step and the next
         forward pass. Returns the parameter gradients by name and the
-        loss, dice and ce values.
+        loss, dice and ce values; a non-finite loss or gradient raises
+        NumericAbort before the optimizer can write it into a parameter.
         """
         batch = []
         for sid in batch_ids:
@@ -213,6 +221,9 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
             raise NumericAbort(epoch, state.step, loss_val)
         grads = backward(loss)
         gdict = {name: grads[t] for name, t in walk_tensors(bound.params)}
+        for name, g in gdict.items():
+            if not np.isfinite(g).all():
+                raise NumericAbort(epoch, state.step, loss_val, name)
         return gdict, loss_val, float(d.data), float(c.data)
 
     end_epoch = ocfg.epochs if stop_after_epochs is None \

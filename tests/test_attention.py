@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from routeseg.attention import (AttentionTrace, PartitionSpec, RoutingAttentionParams,
-                                RoutingPin, attention_flops, effective_s,
+                                RoutingRecord, attention_flops, effective_s,
                                 full_attention_reference, gather_kv, min_cost_over_s,
-                                pinned_routing, region_merge, region_partition,
+                                recording, region_merge, region_partition,
                                 route_regions, routed_attention, token_attention)
 from routeseg.tensor import Tensor
 
@@ -110,19 +110,28 @@ def test_route_regions_rejects_bad_top_k():
 
 def test_routing_pin_records_then_replays():
     rng = np.random.default_rng(23)
+    p = make_params(3, 1, 23)
     spec = PartitionSpec.build(4, 4, 2)
-    q = Tensor(rng.standard_normal((1, 4, 4, 3)))
-    k = Tensor(rng.standard_normal((1, 4, 4, 3)))
-    pin = RoutingPin()
-    with pinned_routing(pin):
-        pin.begin_pass()
-        first = route_regions(q, k, spec, top_k=2).index
-        pin.begin_pass()
-        # perturbed scores would reorder; the pin replays the recording
-        replay = route_regions(k, q, spec, top_k=2).index
-        np.testing.assert_array_equal(first, replay)
+    x = Tensor(rng.standard_normal((1, 4, 4, 3)))
+    other = Tensor(rng.standard_normal((1, 4, 4, 3)))
+    rec = RoutingRecord()
+    with recording(rec):
+        rec.begin_pass()
+        routed_attention(x, p, spec, top_k=2)
+        first = rec.traces[0].routing.index
+        rec.begin_pass()
+        # other scores would reorder; the record replays its selection
+        replayed = routed_attention(other, p, spec, top_k=2)
+        assert len(rec.traces) == 1
+        np.testing.assert_array_equal(rec.traces[0].routing.index, first)
         with pytest.raises(RuntimeError, match="past its recording"):
-            route_regions(q, k, spec, top_k=2)
+            routed_attention(x, p, spec, top_k=2)
+        rec.begin_pass()
+        with pytest.raises(RuntimeError, match="does not match live routing"):
+            routed_attention(x, p, spec, top_k=3)
+    # outside the record the live selection is used again
+    live = routed_attention(other, p, spec, top_k=2)
+    assert not np.array_equal(live.data, replayed.data)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def test_attention_weights_sum_to_one():
     q = Tensor(rng.standard_normal((2, 4, 3, 6)))
     kg = Tensor(rng.standard_normal((2, 4, 9, 6)))
     vg = Tensor(rng.standard_normal((2, 4, 9, 6)))
-    _, weights = token_attention(q, kg, vg, p, want_weights=True)
+    _, weights = token_attention(q, kg, vg, p)
     np.testing.assert_allclose(weights.sum(axis=-1),
                                np.ones(weights.shape[:-1]), atol=1e-6)
 
@@ -186,7 +195,7 @@ def test_identical_values_pass_through_attention():
     q = Tensor(rng.standard_normal((1, 2, 3, 4)))
     kg = Tensor(rng.standard_normal((1, 2, 6, 4)))
     vg = Tensor(np.broadcast_to(v, (1, 2, 6, 4)).copy())
-    out = token_attention(q, kg, vg, p)
+    out, _ = token_attention(q, kg, vg, p)
     np.testing.assert_allclose(out.data, np.broadcast_to(v, out.shape), atol=1e-12)
 
 
@@ -270,7 +279,11 @@ def test_capture_returns_trace():
     p = make_params(4, 2, 33)
     spec = PartitionSpec.build(4, 4, 2)
     x = Tensor(rng.standard_normal((1, 4, 4, 4)))
-    out, trace = routed_attention(x, p, spec, top_k=3, capture=True)
+    with recording(RoutingRecord()) as rec:
+        out = routed_attention(x, p, spec, top_k=3)
+    np.testing.assert_array_equal(out.data,
+                                  routed_attention(x, p, spec, top_k=3).data)
+    (trace,) = rec.traces
     assert isinstance(trace, AttentionTrace)
     assert trace.top_k == 3 and trace.spec is spec
     assert trace.routing.index.shape == (1, 4, 3)

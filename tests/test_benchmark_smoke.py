@@ -4,7 +4,10 @@
 example ``routeseg.blocks.conv2d`` or ``routeseg.train.dice_loss``) and
 ``perfbench/run.py`` checks the outputs of each workload. A short traced
 run of every workload fails here when a change to ``src/`` removes a
-rebound name or breaks an output check.
+rebound name or breaks an output check. A rebound name that stays
+importable but is no longer called reads 0 in the traced run, so on
+``train_micro64``, which reaches every traced layer but the ones below,
+every metric must read above 0.
 """
 
 import json
@@ -15,6 +18,11 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# train_micro64 runs no augmentation, no checkpoint load and no evaluation
+MICRO64_UNREACHED = {"data.augment.s", "metrics.confusion_counts.s",
+                     "metrics.hausdorff_distance.s", "metrics.hd_point_pairs",
+                     "model.load_into_model.s", "model.read_records.s"}
 
 
 @pytest.mark.parametrize("workload", ["eval_hd64", "train_micro64",
@@ -27,3 +35,7 @@ def test_traced_benchmark_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
+    if workload == "train_micro64":
+        idle = sorted(name for name, m in result["metrics"].items()
+                      if name not in MICRO64_UNREACHED and not m["value"] > 0)
+        assert not idle, f"traced layers never called: {idle}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from routeseg.attention import PartitionSpec
+from routeseg.attention import PartitionSpec, RoutingRecord, recording
 from routeseg.blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                              PatchExpandParams, PatchMergeParams, block_forward,
                              patch_embed, patch_expand, patch_merge)
@@ -74,7 +74,9 @@ def test_block_forward_capture_returns_trace():
     p = BlockParams.init(8, 2, rng, dtype=np.float64)
     spec = PartitionSpec.build(4, 4, 2)
     x = Tensor(rng.standard_normal((1, 4, 4, 8)))
-    out, trace = block_forward(x, p, spec, top_k=3, capture=True)
+    with recording(RoutingRecord()) as rec:
+        out = block_forward(x, p, spec, top_k=3)
+    (trace,) = rec.traces
     assert out.shape == x.shape
     assert trace.routing.index.shape == (1, 4, 3)
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import routeseg.tensor
+import routeseg.train
 from routeseg.cli import main
+from routeseg.config import parse_config_text
 from routeseg.data import (read_pnm, save_dataset, synth_dataset,
                            write_split_file)
-from routeseg.model import read_records, write_records
+from routeseg.model import build_model, read_records, save_model, write_records
 
 QUICK_CFG = """\
 in_channels = 1
@@ -174,6 +176,24 @@ def test_diverging_run_exits_numeric_abort(tmp_path, capsys):
         "optimizer = sgd\nlr = 1e12\nepochs = 3"))
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "numeric abort: non-finite loss" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exits_numeric_abort(tmp_path, monkeypatch, capsys):
+    real = routeseg.train.backward
+
+    class AllNaN:
+        def __init__(self, grads):
+            self.grads = grads
+
+        def __getitem__(self, t):
+            return np.full_like(self.grads[t], np.nan)
+
+    monkeypatch.setattr(routeseg.train, "backward",
+                        lambda loss: AllNaN(real(loss)))
+    cfg = write(str(tmp_path / "quick.cfg"), QUICK_CFG)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert ("numeric abort: non-finite gradient of embed.w1 at epoch 0, step 0"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +380,30 @@ def test_dump_attention_exports_routing_and_heatmap(quick_run, tmp_path,
     assert abs(heat.sum() - 1.0) < 1e-6      # f32 softmax
 
     assert (heat[region_map[::4, ::4] == 0] == 0.0).all()
+
+
+def test_dump_attention_last_block_is_block_depth_minus_one(quick_run, tmp_path,
+                                                           capsys):
+    # stage 7 holds three blocks and follows a two-block stage 1, so the
+    # picked trace sits past the first stage's
+    text = QUICK_CFG.replace("stage_depths = 1,0,0,0,0,0,1",
+                             "stage_depths = 2,0,0,0,0,0,3")
+    run = parse_config_text(text)
+    ckpt = str(tmp_path / "deep.ckpt")
+    save_model(ckpt, build_model(run.model, seed=run.seed), text)
+
+    def dump(block):
+        out = str(tmp_path / f"block{block}")
+        assert main(["dump-attention", "--checkpoint", ckpt,
+                     "--image", image_path(quick_run), "--stage", "7",
+                     "--block", block, "--row", "5", "--col", "3",
+                     "--out", out]) == 0
+        return [slurp(os.path.join(out, name), "rb")
+                for name in ("region_map.pgm", "heatmap.pgm", "heatmap.txt")]
+
+    last = dump("-1")
+    assert dump("2") == last
+    assert dump("0") != last
 
 
 def test_dump_attention_validates_query_and_stage(quick_run, tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from routeseg.attention import RoutingRecord, recording
 from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             build_model, count_flops, count_params,
                             load_into_model, read_records, save_model,
@@ -242,11 +243,36 @@ def test_forward_capture_returns_stage_trace():
     model = build_model(cfg, seed=4)
     x = np.random.default_rng(82).standard_normal(
         (1, 32, 32, 1)).astype(np.float32)
-    logits, trace = model.forward(Tensor(x), capture=(6, -1))
+    with recording(RoutingRecord()) as rec:
+        logits = model.forward(Tensor(x))
     assert logits.shape == (1, 32, 32, 2)
-    assert trace is not None
+    trace = rec.traces[-1]
     assert trace.spec is model.specs[6]
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-5)
+
+
+def test_recording_leaves_forward_unchanged_and_traces_every_block():
+    cfg = micro_config(stage_depths=(1, 2, 0, 1, 0, 2, 1))
+    model = build_model(cfg, seed=5)
+    x = np.random.default_rng(83).standard_normal(
+        (2, 32, 32, 1)).astype(np.float32)
+
+    def forward():
+        tape = Tape()
+        logits = model.bind(tape).forward(Tensor(x), training=True)
+        return logits.data, len(tape)
+
+    plain, plain_nodes = forward()
+    with recording(RoutingRecord()) as rec:
+        recorded, recorded_nodes = forward()
+    np.testing.assert_array_equal(recorded, plain)
+    assert recorded_nodes == plain_nodes
+    assert len(rec.traces) == sum(cfg.stage_depths)
+    stages = [i for i, d in enumerate(cfg.stage_depths) for _ in range(d)]
+    for trace, i in zip(rec.traces, stages):
+        assert trace.spec is model.specs[i] and trace.top_k == model.top_k[i]
+        assert trace.routing.index.shape == (2, model.specs[i].num_regions,
+                                             model.top_k[i])
 
 
 def test_skip_mask_disables_fusion_modules():
@@ -376,3 +402,17 @@ def test_load_into_model_rejects_missing_and_mismatched(tmp_path):
     as64["head_b"] = records["head_b"].astype(np.float64)
     with pytest.raises(CheckpointError, match="head_b"):
         load_into_model(build_model(micro_config()), as64)
+
+
+def test_failed_load_leaves_model_unchanged():
+    # the missing record comes last, so a load that copied as it checked
+    # would already have overwritten every other array
+    model = build_model(micro_config(), seed=8)
+    before = {k: v.copy() for k, v in model.records().items()}
+    records = build_model(micro_config(), seed=9).records()
+    assert list(records)[-1] == "fuses.2.bn_var"
+    records.pop("fuses.2.bn_var")
+    with pytest.raises(CheckpointError, match="missing fuses.2.bn_var"):
+        load_into_model(model, records)
+    for name, arr in model.records().items():
+        np.testing.assert_array_equal(arr, before[name])

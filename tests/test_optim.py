@@ -216,6 +216,23 @@ def test_load_state_records_validation():
                      opt.state_records())
 
 
+def test_failed_take_leaves_slots_unchanged():
+    # a resume whose checkpoint lacks the last slot must not have restored
+    # the slots before it
+    opt = Optimizer(OptimConfig.preset("adam"), params_of([1.0, 2.0], [3.0]))
+    opt.step({"p0": np.array([0.1, -0.2]), "p1": np.array([0.3])}, lr=0.01)
+    before = {k: v.copy() for k, v in opt.state_records().items()}
+    other = Optimizer(OptimConfig.preset("adam"), params_of([4.0, 5.0], [6.0]))
+    for _ in range(2):
+        other.step({"p0": np.array([0.5, 0.5]), "p1": np.array([-0.5])}, lr=0.01)
+    records = other.state_records()
+    records.pop("opt.p1.v")
+    with pytest.raises(CheckpointError, match="missing opt.p1.v"):
+        take_records(records, opt.state_records())
+    for name, arr in opt.state_records().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_step_with_zero_lr_is_identity():
     # cfg.lr must be positive, but step() takes the rate as an argument
     named = params_of([[1.0, 2.0], [3.0, 4.0]])

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import routeseg.train
 from routeseg.config import load_config
 from routeseg.data import AugmentConfig, synth_dataset
 from routeseg.model import CheckpointError, build_model, read_records
@@ -225,6 +226,42 @@ def test_non_finite_loss_raises_numeric_abort():
     with pytest.raises(NumericAbort, match="non-finite loss"):
         train_loop(model, samples, [], tiny_optim(epochs=1), seed=0,
                    eval_every=0)
+
+
+def nan_gradient_of(monkeypatch, poisoned):
+    """Rebind the trainer's backward so that ``poisoned(t)`` leaves get a
+    NaN in their gradient."""
+    real = routeseg.train.backward
+
+    class Poisoned:
+        def __init__(self, grads):
+            self.grads = grads
+
+        def __getitem__(self, t):
+            g = self.grads[t]
+            if poisoned(t):
+                g = g.copy()
+                g.flat[0] = np.nan
+            return g
+
+    monkeypatch.setattr(routeseg.train, "backward",
+                        lambda loss: Poisoned(real(loss)))
+
+
+def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
+    samples = synth_dataset(4, 32, 2, seed=17, in_channels=1)
+    model = build_model(micro_config(), seed=0)
+    before = {k: v.copy() for k, v in named_arrays(model.params).items()}
+    head_b = model.params.head_b.data
+    nan_gradient_of(monkeypatch, lambda t: t.data is head_b)
+    with pytest.raises(NumericAbort,
+                       match="non-finite gradient of head_b at epoch 0, step 0"):
+        train_loop(model, samples, [], tiny_optim(epochs=1), seed=0,
+                   eval_every=0)
+    # the forward pass updates the batch-norm buffers; the parameters
+    # must not have moved
+    for name, arr in named_arrays(model.params).items():
+        np.testing.assert_array_equal(arr, before[name])
 
 
 def test_train_loop_input_validation():
