@@ -24,6 +24,8 @@ and finds the one tape that all operands of a multi-operand op share;
 gradient back to its operand's shape (``_unbroadcast``); ``_normalize``
 is the affine normalization behind ``layer_norm`` and ``batch_norm``;
 ``_spread`` broadcasts a reduction's gradient back over the reduced axes.
+``dense`` is one op that flattens its leading axes, so its forward and
+backward run on 2-D GEMMs; ``matmul`` serves the batched products.
 
 Layout convention throughout the package: channel-last, row-major,
 images as [N, H, W, C].
@@ -441,11 +443,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Token-wise affine on the channel axis: x @ w (+ b)."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    """Token-wise affine x [..., C] @ w [C, Cout] (+ b [Cout]) as one op whose
+    forward and backward products are 2-D GEMMs over the flattened tokens."""
+    _nonempty(x, "dense")
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ValueError(f"dense: want x[..., C] @ w[C, Cout], got {x.shape} @ {w.shape}")
+    cout = w.shape[1]
+    with_bias = b is not None  # a flag, not b, for back(): see conv2d
+    if with_bias and b.shape != (cout,):
+        raise ValueError(f"dense: bias {b.shape} does not match {cout} output channels")
+    parents = (x, w, b) if with_bias else (x, w)
+    tape = _operands("dense", *parents)
+    xsh, wd = x.shape, w.data
+    x2 = x.data.reshape(-1, xsh[-1])
+    out = x2 @ wd
+    if with_bias:
+        out += b.data
+
+    def back(g):
+        g2 = g.reshape(-1, cout)
+        gx = (g2 @ wd.T).reshape(xsh)
+        return (gx, x2.T @ g2, g2.sum(0)) if with_bias else (gx, x2.T @ g2)
+
+    return _make(out.reshape(xsh[:-1] + (cout,)), tape, "dense", parents, back)
 
 
 def softmax_lastdim(a: Tensor, scale: float = 1.0) -> Tensor:
@@ -476,8 +496,8 @@ def gather_regions(src: Tensor, index: np.ndarray) -> Tensor:
     index [N, R, k] of region ids in [0, R)
     out   [N, R, k, T, C]
 
-    The index is data, not a differentiable input; the backward pass
-    scatter-adds into the source positions.
+    The index is data, not a differentiable input; the backward pass sums
+    the copies into their sources by a 0/1 selection GEMM, sel[n, src, q*k+j].
     """
     if src.ndim != 4:
         raise ValueError(f"gather_regions: want [N,R,T,C], got {src.shape}")
@@ -489,12 +509,12 @@ def gather_regions(src: Tensor, index: np.ndarray) -> Tensor:
         raise ValueError("gather_regions: region id out of range")
     rows = np.arange(n)[:, None, None]
     out = src.data[rows, index]
-    sd = src.data
+    shape, rk = src.shape, r * index.shape[2]
 
     def back(g):
-        acc = np.zeros_like(sd)
-        np.add.at(acc, (rows, index), g)
-        return (acc,)
+        sel = np.zeros((n, r, rk), dtype=g.dtype)
+        sel[rows, index, np.arange(rk).reshape(index.shape[1:])] = 1
+        return ((sel @ g.reshape(n, rk, -1)).reshape(shape),)
 
     return _make(out, src.tape, "gather_regions", (src,), back)
 
