@@ -42,16 +42,17 @@ AUGMENT_TAG = 202
 
 
 class NumericAbort(RuntimeError):
-    """Loss or a gradient became non-finite; the CLI maps this to exit code 4.
+    """Loss, a gradient or a parameter became non-finite; the CLI maps this
+    to exit code 4.
 
-    ``value`` is the step's loss. ``tensor`` names the first parameter, in
-    walk order, whose gradient is non-finite; it is None when the loss
-    itself is.
+    ``value`` is the step's loss. ``what`` names the first non-finite
+    gradient or updated parameter, in walk order, for example "gradient of
+    embed.w1"; it is None when the loss itself is non-finite.
     """
 
     def __init__(self, epoch: int, step: int, value: float,
-                 tensor: Optional[str] = None):
-        what = f"loss {value}" if tensor is None else f"gradient of {tensor}"
+                 what: Optional[str] = None):
+        what = f"loss {value}" if what is None else what
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
@@ -223,7 +224,8 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
         gdict = {name: grads[t] for name, t in walk_tensors(bound.params)}
         for name, g in gdict.items():
             if not np.isfinite(g).all():
-                raise NumericAbort(epoch, state.step, loss_val, name)
+                raise NumericAbort(epoch, state.step, loss_val,
+                                   f"gradient of {name}")
         return gdict, loss_val, float(d.data), float(c.data)
 
     end_epoch = ocfg.epochs if stop_after_epochs is None \
@@ -239,6 +241,12 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
                 gdict, loss_val, dice, ce = step_grads(epoch, batch_ids)
                 opt.step(gdict, lr)
                 del gdict  # parameter-sized; not needed by the next forward
+                # a finite gradient times a large lr can still overflow, and
+                # the last step has no next loss to show it
+                for name, p in opt.named:
+                    if not np.isfinite(p.data).all():
+                        raise NumericAbort(epoch, state.step, loss_val,
+                                           f"parameter {name} after the update")
                 state.step += 1
                 epoch_losses.append(loss_val)
                 emit({"kind": "step", "epoch": epoch, "step": state.step,

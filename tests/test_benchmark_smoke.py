@@ -7,7 +7,8 @@ run of every workload fails here when a change to ``src/`` removes a
 rebound name or breaks an output check. A rebound name that stays
 importable but is no longer called reads 0 in the traced run, so on
 ``train_micro64``, which reaches every traced layer but the ones below,
-every metric but the signed tracing overhead must read above 0.
+every metric but the signed tracing overhead must read above 0. On
+``eval_hd64`` the three metrics traced through ``routeseg.metrics`` must.
 """
 
 import json
@@ -26,6 +27,9 @@ MICRO64_UNREACHED = {"data.augment.s", "metrics.confusion_counts.s",
 # traced minus untraced time of the same steps: a signed difference of two
 # timings, not a rebound name, so on a fast step it can read below 0
 SIGNED = {"trace.overhead_s"}
+# the only workload that calls the rebound routeseg.metrics names
+EVAL_REACHED = ("metrics.hausdorff_distance.s", "metrics.confusion_counts.s",
+                "metrics.hd_point_pairs")
 
 
 @pytest.mark.parametrize("workload", ["eval_hd64", "train_micro64",
@@ -43,3 +47,7 @@ def test_traced_benchmark_run_is_correct(workload):
                       if name not in MICRO64_UNREACHED | SIGNED
                       and not m["value"] > 0)
         assert not idle, f"traced layers never called: {idle}"
+    if workload == "eval_hd64":
+        idle = [name for name in EVAL_REACHED
+                if not result["metrics"][name]["value"] > 0]
+        assert not idle, f"traced metrics layers never called: {idle}"

@@ -178,6 +178,20 @@ def test_diverging_run_exits_numeric_abort(tmp_path, capsys):
     assert "numeric abort: non-finite loss" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_parameter_overflow_exits_numeric_abort(tmp_path, capsys):
+    # the loss and gradients stay finite; only the single update overflows
+    cfg = write(str(tmp_path / "over.cfg"), QUICK_CFG.replace(
+        "optimizer = adam\nlr = 0.005\nepochs = 3",
+        "optimizer = sgd\nlr = 1e300\nepochs = 1"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 4
+    assert ("numeric abort: non-finite parameter embed.w1 after the update "
+            "at epoch 0, step 0" in capsys.readouterr().err)
+    assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
+
+
 def test_non_finite_gradient_exits_numeric_abort(tmp_path, monkeypatch, capsys):
     real = routeseg.train.backward
 

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routeseg.metrics import (confusion_counts, evaluate_predictions,
                               hausdorff_distance, mean_defined, pixel_metrics)
@@ -144,6 +146,106 @@ def test_hausdorff_chunked_matches_direct():
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
     want = max(np.sqrt(d2.min(axis=1).max()), np.sqrt(d2.min(axis=0).max()))
     assert abs(hausdorff_distance(a, b) - want) < 1e-12
+
+
+def brute_hausdorff(a, b):
+    """Symmetric max-min over every pixel pair, in integers."""
+    pa, pb = np.argwhere(a), np.argwhere(b)
+    if not len(pa) and not len(pb):
+        return None
+    if not len(pa) or not len(pb):
+        return math.hypot(a.shape[0] - 1, a.shape[1] - 1)
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
+    return math.sqrt(max(int(d2.min(1).max()), int(d2.min(0).max())))
+
+
+def edge_brute_hausdorff(a, b):
+    """The brute force over fewer pairs, for 224-pixel maps.
+
+    A pixel of ``a`` inside ``b`` is at distance 0. For any other pixel,
+    the nearest pixel of ``b`` has an in-image 4-neighbour outside ``b``,
+    or its neighbour towards the query would be nearer; so only those
+    edge pixels of ``b`` are searched.
+    """
+    def edge(m):
+        p = np.pad(m, 1, constant_values=True)
+        inner = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+        return np.argwhere(m & ~inner)
+
+    def directed_sq(src, dst):
+        pts = np.argwhere(src & ~dst)
+        if not len(pts):
+            return 0
+        d2 = ((pts[:, None, :] - edge(dst)[None, :, :]) ** 2).sum(-1)
+        return int(d2.min(1).max())
+
+    if not a.any() or not b.any():
+        return brute_hausdorff(a, b)
+    return math.sqrt(max(directed_sq(a, b), directed_sq(b, a)))
+
+
+@st.composite
+def mask_pairs(draw):
+    side = st.integers(1, 40)
+    h, w = draw(st.one_of(st.tuples(st.just(1), side), st.tuples(side, st.just(1)),
+                          st.tuples(side, side)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["bool", "int", "labels", "pixel", "full"]))
+        p = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9]))
+        if kind == "bool":
+            m = rng.random((h, w)) < p
+        elif kind == "int":     # nonzero values of any size count as in
+            m = (rng.random((h, w)) < p) * rng.integers(1, 300, (h, w))
+        elif kind == "labels":
+            m = rng.integers(0, 4, (h, w)) == draw(st.integers(0, 3))
+        elif kind == "pixel":
+            m = np.zeros((h, w), np.uint8)
+            m[rng.integers(h), rng.integers(w)] = 1
+        else:
+            m = np.ones((h, w), bool)
+        masks.append(m)
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_pairs())
+def test_hausdorff_matches_brute_force(pair):
+    a, b = pair
+    want = brute_hausdorff(a, b)
+    assert hausdorff_distance(a, b) == want
+    assert edge_brute_hausdorff(a != 0, b != 0) == want
+
+
+def test_hausdorff_of_translated_rectangles_at_224():
+    for ty, tx in ((7, -9), (0, 13), (-40, 1)):
+        a = np.zeros((224, 224), bool)
+        a[90:120, 60:140] = True
+        b = np.roll(a, (ty, tx), axis=(0, 1))
+        want = math.sqrt(float(ty * ty + tx * tx))
+        assert hausdorff_distance(a, b) == want
+        assert edge_brute_hausdorff(a, b) == want
+
+
+def test_hausdorff_rejects_masks_that_are_not_2d():
+    for shape in ((7,), (3, 4, 5)):
+        full, empty = np.ones(shape, bool), np.zeros(shape, bool)
+        for a, b in ((full, full), (full, empty), (empty, empty)):
+            with pytest.raises(ValueError, match=r"2-D, got shape"):
+                hausdorff_distance(a, b)
+
+
+def test_evaluate_predictions_hausdorff_on_224_nine_class_map():
+    rng = np.random.default_rng(78)
+    target = np.kron(rng.integers(0, 9, (14, 14)), np.ones((16, 16), np.int64))
+    pred = np.roll(target, (3, -5), axis=(0, 1))
+    flip = rng.random(pred.shape) < 0.002
+    pred[flip] = rng.integers(0, 9, int(flip.sum()))
+    report = evaluate_predictions([pred], [target], 9, with_hausdorff=True)
+    want = [edge_brute_hausdorff(pred == k, target == k) for k in range(9)]
+    assert report.hausdorff == want
+    assert report.mean_hausdorff == sum(want[1:]) / 8
 
 
 def test_evaluate_predictions_pools_counts_before_dividing():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import tracemalloc
@@ -262,6 +263,22 @@ def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
     # must not have moved
     for name, arr in named_arrays(model.params).items():
         np.testing.assert_array_equal(arr, before[name])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_parameter_overflow_aborts_before_logging_or_checkpointing(tmp_path):
+    samples = synth_dataset(4, 32, 2, seed=17, in_channels=1)
+    model = build_model(micro_config(), seed=0)
+    with pytest.raises(NumericAbort, match="non-finite parameter embed.w1 "
+                       "after the update at epoch 0, step 0") as info:
+        train_loop(model, samples, [], tiny_optim(epochs=1, kind="sgd", lr=1e300),
+                   seed=0, eval_every=0, out_dir=str(tmp_path))
+    assert math.isfinite(info.value.value)
+    assert not os.path.exists(tmp_path / "last.ckpt")
+    assert not os.path.exists(tmp_path / "best.ckpt")
+    with open(tmp_path / "train_log.jsonl", encoding="utf-8") as f:
+        assert f.read() == ""
 
 
 def test_train_loop_input_validation():
