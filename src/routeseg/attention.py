@@ -34,6 +34,8 @@ from .params import trunc_normal, zeros
 from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, reshape,
                      softmax_lastdim, transpose)
 
+LCE_KERNEL = 5                   # side of the depth-wise local-context conv
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -104,14 +106,14 @@ class RoutingAttentionParams:
     bk: Optional[Tensor]
     bv: Optional[Tensor]
     bo: Tensor
-    lce: Tensor                  # [k, k, 1, C] depth-wise, no bias
+    lce: Tensor                  # [5, 5, 1, C] depth-wise, no bias
     heads: int = 1
     scale_mode: str = "per_head"
 
     @classmethod
     def init(cls, dim: int, heads: int, rng: np.random.Generator,
              dtype=np.float32, qkv_bias: bool = True,
-             lce_kernel: int = 5, scale_mode: str = "per_head"):
+             scale_mode: str = "per_head"):
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by {heads} heads")
         if scale_mode not in ("per_head", "model_dim"):
@@ -123,7 +125,7 @@ class RoutingAttentionParams:
         def b():
             return Tensor(zeros((dim,), dtype)) if qkv_bias else None
 
-        lce = Tensor(trunc_normal(rng, (lce_kernel, lce_kernel, 1, dim),
+        lce = Tensor(trunc_normal(rng, (LCE_KERNEL, LCE_KERNEL, 1, dim),
                                   dtype=dtype))
         return cls(wq=w(), wk=w(), wv=w(), wo=w(), bq=b(), bk=b(), bv=b(),
                    bo=Tensor(zeros((dim,), dtype)), lce=lce, heads=heads,
@@ -284,8 +286,7 @@ def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
 
 def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
     """Depth-wise conv on V, same padding, no bias."""
-    k = p.lce.shape[0]
-    return conv2d(v_spatial, p.lce, None, stride=1, padding=k // 2)
+    return conv2d(v_spatial, p.lce, None, stride=1, padding=LCE_KERNEL // 2)
 
 
 def routed_attention(x: Tensor, p: RoutingAttentionParams, spec: PartitionSpec,

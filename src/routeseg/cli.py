@@ -23,8 +23,8 @@ from .attention import RoutingRecord, recording
 from .config import (RunConfig, describe_keys, effective_text, load_config,
                      parse_config_text)
 from .data import (DataError, SegSample, kfold_splits, load_dataset,
-                   make_splits, read_pnm, read_split_file, synth_dataset,
-                   to_unit_image, write_pgm)
+                   make_splits, read_image, read_split_file, synth_dataset,
+                   write_pgm)
 from .model import (CheckpointError, ConfigError, Model, build_model,
                     count_flops, count_params, load_into_model, read_records)
 from .optim import OptimConfigError
@@ -71,8 +71,20 @@ def _gather_samples(run: RunConfig) -> List[SegSample]:
                              in_channels=run.model.in_channels)
     if not run.data_root:
         raise DataError("no data_root configured and synthetic = false")
-    return load_dataset(run.data_root, run.model.in_channels,
-                        run.model.num_classes)
+    return _load_samples(run.data_root, run)
+
+
+def _check_extents(image: np.ndarray, hw: int, what: str):
+    if image.shape[0] != hw or image.shape[1] != hw:
+        raise DataError(f"{what}: extents {image.shape[0]}x{image.shape[1]} "
+                        f"do not match the model input {hw}x{hw}")
+
+
+def _load_samples(root: str, run: RunConfig) -> List[SegSample]:
+    samples = load_dataset(root, run.model.in_channels, run.model.num_classes)
+    for s in samples:
+        _check_extents(s.image, run.model.input_hw, f"{root}: sample {s.id!r}")
+    return samples
 
 
 def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig, Dict[str, np.ndarray]]:
@@ -84,12 +96,8 @@ def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig, Dict[str, np.nd
 
 
 def _read_input_image(path: str, run: RunConfig) -> np.ndarray:
-    raw = read_pnm(path)
-    image = to_unit_image(raw, run.model.in_channels)
-    hw = run.model.input_hw
-    if image.shape[0] != hw or image.shape[1] != hw:
-        raise DataError(f"{path}: extents {image.shape[0]}x{image.shape[1]} "
-                        f"do not match the checkpoint input {hw}x{hw}")
+    image = read_image(path, run.model.in_channels)
+    _check_extents(image, run.model.input_hw, path)
     return image
 
 
@@ -130,7 +138,7 @@ def cmd_eval(args) -> int:
     root = args.data or run.data_root
     if not root:
         raise DataError("no dataset: pass --data or configure data_root")
-    samples = load_dataset(root, run.model.in_channels, run.model.num_classes)
+    samples = _load_samples(root, run)
     if not samples:
         raise DataError(f"no samples found under {root!r}")
     if args.split != "all":

@@ -127,8 +127,8 @@ def _read_header_token(blob: bytes, pos: int, path: str) -> Tuple[bytes, int]:
     return blob[start:pos], pos
 
 
-def read_pnm(path: str) -> np.ndarray:
-    """P5 -> uint8 [H, W]; P6 -> uint8 [H, W, 3]."""
+def _parse_pnm(path: str) -> Tuple[np.ndarray, int]:
+    """(pixels, maxval): P5 -> uint8 [H, W]; P6 -> uint8 [H, W, 3]."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -155,9 +155,13 @@ def read_pnm(path: str) -> np.ndarray:
     if len(payload) != need:
         raise DataError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, 3).copy()
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return arr.reshape(shape).copy(), maxval
+
+
+def read_pnm(path: str) -> np.ndarray:
+    """P5 -> uint8 [H, W]; P6 -> uint8 [H, W, 3], values as stored."""
+    return _parse_pnm(path)[0]
 
 
 def _write_pnm(path: str, magic: bytes, arr: np.ndarray):
@@ -206,9 +210,15 @@ def adapt_channels(image: np.ndarray, in_channels: int) -> np.ndarray:
     raise DataError(f"cannot adapt {have}-channel image to {in_channels} channels")
 
 
-def to_unit_image(raw: np.ndarray, in_channels: int) -> np.ndarray:
-    scaled = raw.astype(np.float32) / np.float32(255.0)
+def to_unit_image(raw: np.ndarray, in_channels: int, maxval: int) -> np.ndarray:
+    scaled = raw.astype(np.float32) / np.float32(maxval)
     return adapt_channels(scaled, in_channels)
+
+
+def read_image(path: str, in_channels: int) -> np.ndarray:
+    """A P5/P6 file as f32 [H, W, in_channels], its maxval mapped to 1."""
+    raw, maxval = _parse_pnm(path)
+    return to_unit_image(raw, in_channels, maxval)
 
 
 def load_dataset(root: str, in_channels: int, num_classes: int) -> List[SegSample]:
@@ -230,19 +240,17 @@ def load_dataset(root: str, in_channels: int, num_classes: int) -> List[SegSampl
         mask_path = os.path.join(masks_dir, stem + ".pgm")
         if not os.path.isfile(mask_path):
             raise DataError(f"{by_id[stem]}: missing mask {mask_path}")
-        raw = read_pnm(by_id[stem])
+        image = read_image(by_id[stem], in_channels)
         mask = read_pnm(mask_path)
         if mask.ndim != 2:
             raise DataError(f"{mask_path}: masks must be single-channel P5")
-        if raw.shape[:2] != mask.shape:
-            raise DataError(f"{by_id[stem]}: image {raw.shape[:2]} vs "
+        if image.shape[:2] != mask.shape:
+            raise DataError(f"{by_id[stem]}: image {image.shape[:2]} vs "
                             f"mask {mask.shape} extent mismatch")
         top = int(mask.max())
         if top >= num_classes:
             raise DataError(f"{mask_path}: class index {top} >= K={num_classes}")
-        samples.append(SegSample(id=stem,
-                                 image=to_unit_image(raw, in_channels),
-                                 mask=mask.astype(np.int64)))
+        samples.append(SegSample(id=stem, image=image, mask=mask.astype(np.int64)))
     return samples
 
 

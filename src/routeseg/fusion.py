@@ -25,6 +25,9 @@ from .params import conv_init, ones, trunc_normal, zeros
 from .tensor import (Tensor, batch_norm, concat, conv2d, dense, mul, relu,
                      sigmoid)
 
+GATE_KERNEL = 7                  # side of both spatial-gate convs
+GATE_REDUCTION = 4               # both gates narrow 2n to 2n / 4
+
 
 @dataclass
 class FusionParams:
@@ -42,27 +45,24 @@ class FusionParams:
     out_b: Tensor
     bn_mean: np.ndarray = field(default=None, repr=False)
     bn_var: np.ndarray = field(default=None, repr=False)
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     @classmethod
-    def init(cls, channels: int, rng: np.random.Generator, dtype=np.float32,
-             kernel: int = 7, reduction: int = 4):
+    def init(cls, channels: int, rng: np.random.Generator, dtype=np.float32):
         n = channels
         wide = 2 * n
-        mid = wide // reduction
+        mid = wide // GATE_REDUCTION
         if mid < 1:
-            raise ValueError(f"fusion width {wide} too small for reduction {reduction}")
+            raise ValueError(f"fusion width {wide} too small for reduction {GATE_REDUCTION}")
         return cls(
             ca_w1=Tensor(trunc_normal(rng, (wide, mid), dtype=dtype)),
             ca_b1=Tensor(zeros((mid,), dtype)),
             ca_w2=Tensor(trunc_normal(rng, (mid, wide), dtype=dtype)),
             ca_b2=Tensor(zeros((wide,), dtype)),
-            sa_w1=Tensor(conv_init(rng, kernel, kernel, wide, mid, dtype)),
+            sa_w1=Tensor(conv_init(rng, GATE_KERNEL, GATE_KERNEL, wide, mid, dtype)),
             sa_b1=Tensor(zeros((mid,), dtype)),
             bn_g=Tensor(ones((mid,), dtype)),
             bn_b=Tensor(zeros((mid,), dtype)),
-            sa_w2=Tensor(conv_init(rng, kernel, kernel, mid, wide, dtype)),
+            sa_w2=Tensor(conv_init(rng, GATE_KERNEL, GATE_KERNEL, mid, wide, dtype)),
             sa_b2=Tensor(zeros((wide,), dtype)),
             out_w=Tensor(trunc_normal(rng, (wide, n), dtype=dtype)),
             out_b=Tensor(zeros((n,), dtype)),
@@ -100,8 +100,7 @@ def channel_spatial_fuse(x1: Tensor, x2: Tensor, p: FusionParams,
     k = p.sa_w1.shape[0]
     t = conv2d(f2, p.sa_w1, p.sa_b1, stride=1, padding=k // 2)
     t = relu(batch_norm(t, p.bn_g, p.bn_b, p.bn_mean, p.bn_var,
-                        training=training, momentum=p.bn_momentum,
-                        eps=p.bn_eps))
+                        training=training))
     gate_s = sigmoid(conv2d(t, p.sa_w2, p.sa_b2, stride=1, padding=k // 2))
     f3 = mul(gate_s, f2)
     return dense(f3, p.out_w, p.out_b)

@@ -161,15 +161,10 @@ def evaluate_predictions(preds: List[np.ndarray], targets: List[np.ndarray],
     hd_per_class: List[Optional[float]] = []
     mean_hd = None
     if with_hausdorff:
-        for k in range(num_classes):
-            vals = []
-            for p, t in zip(preds, targets):
-                d = hausdorff_distance(p == k, t == k)
-                if d is not None:
-                    vals.append(d)
-            hd_per_class.append(sum(vals) / len(vals) if vals else None)
-        defined = [v for v in hd_per_class[1:] if v is not None]
-        mean_hd = sum(defined) / len(defined) if defined else None
+        hd_per_class = [mean_defined([hausdorff_distance(p == k, t == k)
+                                      for p, t in zip(preds, targets)])
+                        for k in range(num_classes)]
+        mean_hd = mean_defined(hd_per_class[1:])
     return MetricsReport(num_classes=num_classes, counts=counts,
                          per_class=per_class, means=means,
                          foreground_means=fg, hausdorff=hd_per_class,

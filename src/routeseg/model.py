@@ -13,10 +13,10 @@ an empty bottleneck (the merge to 8C and the expand back remain), so the
 preset reproduces those totals; any other depth layout is a config edit
 away and fully supported.
 
-Partitioning: every stage uses the configured factor S where its side
-divides, otherwise the largest divisor of the side that fits, so deep
-stages degrade to single-pixel regions and finally to one region. top_k
-is clamped per stage to the available region count.
+Partitioning (``ModelConfig.partitions``): every stage uses the factor S
+where its side divides, otherwise the largest divisor of the side that
+fits, so deep stages degrade to single-pixel regions and finally to one
+region. top_k is clamped per stage to the available region count.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import PartitionSpec, attention_flops, effective_s
+from .attention import LCE_KERNEL, PartitionSpec, attention_flops, effective_s
 from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      PatchExpandParams, PatchMergeParams, block_forward,
                      patch_embed, patch_expand, patch_merge)
-from .fusion import (FusionParams, PlainFuseParams, channel_spatial_fuse,
-                     plain_fuse)
+from .fusion import (GATE_KERNEL, GATE_REDUCTION, FusionParams,
+                     PlainFuseParams, channel_spatial_fuse, plain_fuse)
 from .params import bind, trunc_normal, walk_buffers, walk_tensors, zeros
 from .tensor import Tape, Tensor, dense
 
@@ -99,6 +99,13 @@ class ModelConfig:
         c = self.base_channels
         return [(q, c), (q // 2, 2 * c), (q // 4, 4 * c), (q // 8, 8 * c),
                 (q // 4, 4 * c), (q // 2, 2 * c), (q, c)]
+
+    def partitions(self) -> List[Tuple[PartitionSpec, int]]:
+        """Seven (partition, top_k) pairs, top_k clamped to the region count."""
+        specs = [PartitionSpec.build(side, side, effective_s(side, self.s))
+                 for side, _ in self.stage_geometry()]
+        return [(sp, min(k, sp.num_regions))
+                for sp, k in zip(specs, self.resolved_top_k())]
 
     @staticmethod
     def heads_for(dim: int) -> int:
@@ -169,14 +176,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     cfg.validate()
     rng = np.random.default_rng(seed)
     geometry = cfg.stage_geometry()
-    ks = cfg.resolved_top_k()
-
-    specs, top_k = [], []
-    for (side, _), k in zip(geometry, ks):
-        s_eff = effective_s(side, cfg.s)
-        spec = PartitionSpec.build(side, side, s_eff)
-        specs.append(spec)
-        top_k.append(min(k, spec.num_regions))
+    specs, top_k = map(list, zip(*cfg.partitions()))
 
     stages = []
     for (_, dim), depth in zip(geometry, cfg.stage_depths):
@@ -185,25 +185,15 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
                              qkv_bias=cfg.qkv_bias, scale_mode=cfg.scale_mode)
             for _ in range(depth)])
 
+    merges = [PatchMergeParams.init(dim, rng, dtype) for _, dim in geometry[:3]]
+    expands = [PatchExpandParams.init(dim, 2, rng, dtype)
+               for _, dim in geometry[3:6]]
+    fuse_cls = FusionParams if cfg.sccsa else PlainFuseParams
+    # decoder order 1/16, 1/8, 1/4; the mask runs 1/4, 1/8, 1/16
+    fuses = [fuse_cls.init(dim, rng, dtype) if enabled else None
+             for (_, dim), enabled in zip(geometry[4:], reversed(cfg.skip_mask))]
+
     c = cfg.base_channels
-    merges = [PatchMergeParams.init(c, rng, dtype),
-              PatchMergeParams.init(2 * c, rng, dtype),
-              PatchMergeParams.init(4 * c, rng, dtype)]
-    expands = [PatchExpandParams.init(8 * c, 2, rng, dtype),
-               PatchExpandParams.init(4 * c, 2, rng, dtype),
-               PatchExpandParams.init(2 * c, 2, rng, dtype)]
-
-    fuses: List[Optional[object]] = []
-    decoder_dims = (4 * c, 2 * c, c)
-    for j, n in enumerate(decoder_dims):
-        enabled = cfg.skip_mask[2 - j]      # mask order: 1/4, 1/8, 1/16
-        if not enabled:
-            fuses.append(None)
-        elif cfg.sccsa:
-            fuses.append(FusionParams.init(n, rng, dtype))
-        else:
-            fuses.append(PlainFuseParams.init(n, rng, dtype))
-
     params = ModelParams(
         embed=PatchEmbedParams.init(cfg.in_channels, c, rng, dtype),
         stages=stages,
@@ -261,55 +251,42 @@ def count_flops(cfg: ModelConfig) -> Dict[str, object]:
     hw = cfg.input_hw
     c = cfg.base_channels
     geometry = cfg.stage_geometry()
-    ks = cfg.resolved_top_k()
     table: Dict[str, int] = {}
 
     half = hw // 2
-    quarter = hw // 4
+    quarter = geometry[0][0]             # embed output, stage 1 side
     table["embed"] = (half * half * (9 * cfg.in_channels * (c // 2)
                                      + 2 * (c // 2))
                       + quarter * quarter * (9 * (c // 2) * c + 2 * c))
 
-    for i, ((side, dim), depth) in enumerate(zip(geometry, cfg.stage_depths)):
-        if depth == 0:
-            table[f"stage{i + 1}"] = 0
-            continue
-        s_eff = effective_s(side, cfg.s)
-        k_eff = min(ks[i], s_eff * s_eff)
-        attn = attention_flops(side * side, dim, s_eff, k_eff)["total_macs"]
+    for i, ((side, dim), depth, (spec, k)) in enumerate(
+            zip(geometry, cfg.stage_depths, cfg.partitions())):
+        attn = attention_flops(side * side, dim, spec.s, k)["total_macs"]
         per_block = (side * side * (9 * dim            # dw conv
                                     + 4 * dim          # two layer norms
                                     + 4 * dim * dim    # q, k, v, o projections
-                                    + 25 * dim         # local context conv
+                                    + LCE_KERNEL ** 2 * dim
                                     + 2 * MLP_RATIO * dim * dim)
                      + attn)
         table[f"stage{i + 1}"] = depth * per_block
 
-    total_merge = 0
-    for i in range(3):
-        din = c * (2 ** i)
-        side = geometry[i][0] // 2
-        total_merge += side * side * (9 * din * 2 * din + 2 * 2 * din)
-    table["merges"] = total_merge
-
-    total_expand = 0
-    for j in range(3):
-        side_in, din = geometry[3 + j]     # 8C@1/32, 4C@1/16, 2C@1/8
-        total_expand += side_in * side_in * din * (4 * (din // 2))
-    total_expand += quarter * quarter * c * 16 * c     # final 4x expand
-    table["expands"] = total_expand
+    table["merges"] = sum((side // 2) ** 2 * (9 * dim * 2 * dim + 2 * 2 * dim)
+                          for side, dim in geometry[:3])
+    table["expands"] = (sum(side * side * dim * 4 * (dim // 2)
+                            for side, dim in geometry[3:6])
+                        + quarter * quarter * c * 16 * c)   # final 4x expand
 
     total_fuse = 0
-    for j, n in enumerate((4 * c, 2 * c, c)):
-        if not cfg.skip_mask[2 - j]:
+    taps = GATE_KERNEL ** 2
+    for (side, n), enabled in zip(geometry[4:], reversed(cfg.skip_mask)):
+        if not enabled:
             continue
-        side = geometry[4 + j][0]
-        wide, mid = 2 * n, (2 * n) // 4
+        wide, mid = 2 * n, (2 * n) // GATE_REDUCTION
         if cfg.sccsa:
             total_fuse += side * side * (
                 wide * mid + mid * wide            # channel gate MLP
-                + 49 * wide * mid + 2 * mid        # conv1 + bn
-                + 49 * mid * wide                  # conv2
+                + taps * wide * mid + 2 * mid      # conv1 + bn
+                + taps * mid * wide                # conv2
                 + wide * n)                        # out affine
         else:
             total_fuse += side * side * wide * n

@@ -170,6 +170,19 @@ def test_train_without_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_train_on_images_of_another_size_is_data_error(tmp_path, capsys):
+    samples = synth_dataset(2, 32, 2, seed=19, in_channels=1)
+    root = str(tmp_path / "data")
+    save_dataset(samples, root)
+    cfg = write(str(tmp_path / "big.cfg"), QUICK_CFG.replace(
+        "input_hw = 32", "input_hw = 64").replace(
+        "synthetic = true", f"synthetic = false\ndata_root = {root}"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"sample {samples[0].id!r}: extents 32x32 do not match" in err
+    assert "64x64" in err
+
+
 def test_diverging_run_exits_numeric_abort(tmp_path, capsys):
     cfg = write(str(tmp_path / "blow.cfg"), QUICK_CFG.replace(
         "optimizer = adam\nlr = 0.005\nepochs = 3",
@@ -256,6 +269,18 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path, capsys):
 def test_eval_without_any_dataset_is_data_error(quick_run, capsys):
     assert main(["eval", "--checkpoint", quick_run["ckpt"]]) == 3
     assert "no dataset" in capsys.readouterr().err
+
+
+def test_eval_on_images_of_another_size_is_data_error(quick_run, tmp_path,
+                                                     capsys):
+    samples = synth_dataset(2, 16, 2, seed=23, in_channels=1)
+    root = str(tmp_path / "small")
+    save_dataset(samples, root)
+    assert main(["eval", "--checkpoint", quick_run["ckpt"],
+                 "--data", root]) == 3
+    err = capsys.readouterr().err
+    assert f"sample {samples[0].id!r}: extents 16x16 do not match" in err
+    assert "32x32" in err
 
 
 def test_eval_hausdorff_flag_populates_field(quick_run, capsys):

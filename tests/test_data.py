@@ -6,9 +6,9 @@ import pytest
 
 from routeseg.data import (AugmentConfig, DataError, SegSample, SplitMix64,
                            adapt_channels, augment, derive_seed, kfold_splits,
-                           load_dataset, make_splits, read_pnm, read_split_file,
-                           save_dataset, stack_batch, synth_dataset,
-                           to_unit_image, write_pgm, write_ppm,
+                           load_dataset, make_splits, read_image, read_pnm,
+                           read_split_file, save_dataset, stack_batch,
+                           synth_dataset, to_unit_image, write_pgm, write_ppm,
                            write_split_file)
 
 
@@ -134,9 +134,36 @@ def test_adapt_channels_covers_all_paths():
 
 def test_to_unit_image_scales_to_unit_range():
     raw = np.array([[0, 255]], dtype=np.uint8)
-    out = to_unit_image(raw, 1)
+    out = to_unit_image(raw, 1, 255)
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out[:, :, 0], [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("magic,channels", [(b"P5", 1), (b"P6", 3)])
+@pytest.mark.parametrize("maxval", [1, 15, 255])
+def test_images_scale_by_their_files_maxval(tmp_path, magic, channels, maxval):
+    rng = np.random.default_rng(maxval)
+    raw = rng.integers(0, maxval + 1, size=(2, 3, channels)).astype(np.uint8)
+    raw.flat[0], raw.flat[1] = 0, maxval
+    ext = ".pgm" if channels == 1 else ".ppm"
+    os.makedirs(tmp_path / "images")
+    os.makedirs(tmp_path / "masks")
+    image_path = str(tmp_path / "images" / ("a" + ext))
+    with open(image_path, "wb") as f:
+        f.write(b"%s\n3 2\n%d\n" % (magic, maxval) + raw.tobytes())
+    mask = np.array([[0, 1, 1], [1, 0, 1]], np.uint8)
+    with open(tmp_path / "masks" / "a.pgm", "wb") as f:
+        f.write(b"P5\n3 2\n1\n" + mask.tobytes())
+
+    np.testing.assert_array_equal(read_pnm(image_path), raw.squeeze(-1)
+                                  if channels == 1 else raw)
+    # at maxval 255 this is the fixed 1/255 scale of 8-bit files, bit for bit
+    want = raw.astype(np.float32) / np.float32(maxval)
+    assert want.max() == 1.0
+    np.testing.assert_array_equal(read_image(image_path, channels), want)
+    (sample,) = load_dataset(str(tmp_path), channels, 2)
+    np.testing.assert_array_equal(sample.image, want)
+    np.testing.assert_array_equal(sample.mask, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_fuse_rejects_mismatched_or_non_image_inputs():
 
 def test_fuse_init_rejects_too_narrow_bottleneck():
     with pytest.raises(ValueError, match="too small"):
-        FusionParams.init(1, np.random.default_rng(54), reduction=4)
+        FusionParams.init(1, np.random.default_rng(54))
 
 
 def test_training_pass_updates_bn_stats_eval_does_not():

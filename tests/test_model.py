@@ -1,11 +1,17 @@
 import dataclasses
 import gc
+import glob
 import os
 
 import numpy as np
 import pytest
 
+import routeseg.attention as rs_attention
+import routeseg.blocks as rs_blocks
+import routeseg.fusion as rs_fusion
+import routeseg.model as rs_model
 from routeseg.attention import RoutingRecord, recording
+from routeseg.config import load_config
 from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             build_model, count_flops, count_params,
                             load_into_model, read_records, save_model,
@@ -170,6 +176,139 @@ def test_flops_scale_with_resolution_and_skip_mask():
 def test_count_flops_validates_config():
     with pytest.raises(ConfigError):
         count_flops(dataclasses.replace(ModelConfig(), input_hw=50))
+
+
+FLOP_MODULES = (["embed"] + [f"stage{i}" for i in range(1, 8)]
+                + ["merges", "expands", "fusion", "head"])
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
+
+# count_flops(cfg)["per_module"] of every shipped config, in FLOP_MODULES order
+SHIPPED_MACS = {
+    "base": (148_119_552, 756_111_552, 629_225_856, 2_381_503_488, 0,
+        2_381_503_488, 629_225_856, 756_111_552, 390_695_424, 635_830_272,
+        8_844_347_904, 43_352_064),
+    "micro64": (393_216, 1_863_936, 997_888, 1_458_176, 681_472, 1_458_176,
+        997_888, 1_863_936, 891_904, 1_441_792, 20_061_184, 196_608),
+    "no_sccsa": (148_119_552, 756_111_552, 629_225_856, 2_381_503_488, 0,
+        2_381_503_488, 629_225_856, 756_111_552, 390_695_424, 635_830_272,
+        173_408_256, 43_352_064),
+    "s8_256": (193_462_272, 987_758_592, 822_214_656, 3_113_484_288, 0,
+        3_113_484_288, 822_214_656, 987_758_592, 510_296_064, 830_472_192,
+        11_551_801_344, 56_623_104),
+    "skip0": (148_119_552, 756_111_552, 629_225_856, 2_381_503_488, 0,
+        2_381_503_488, 629_225_856, 756_111_552, 390_695_424, 635_830_272, 0,
+        43_352_064),
+    "skip1": (148_119_552, 756_111_552, 629_225_856, 2_381_503_488, 0,
+        2_381_503_488, 629_225_856, 756_111_552, 390_695_424, 635_830_272,
+        2_948_241_408, 43_352_064),
+    "skip2": (148_119_552, 756_111_552, 629_225_856, 2_381_503_488, 0,
+        2_381_503_488, 629_225_856, 756_111_552, 390_695_424, 635_830_272,
+        5_896_332_288, 43_352_064),
+    "tiny": (69_844_992, 375_623_808, 291_033_344, 1_073_866_752, 0,
+        1_073_866_752, 291_033_344, 375_623_808, 173_759_488, 282_591_232,
+        3_930_938_368, 28_901_376),
+    "topk_1": (148_119_552, 679_041_216, 600_324_480, 2_347_785_216, 0,
+        2_347_785_216, 600_324_480, 679_041_216, 390_695_424, 635_830_272,
+        8_844_347_904, 43_352_064),
+    "topk_1_4_16": (148_119_552, 679_041_216, 629_225_856, 2_420_038_656, 0,
+        2_420_038_656, 629_225_856, 679_041_216, 390_695_424, 635_830_272,
+        8_844_347_904, 43_352_064),
+    "topk_4_8_16": (148_119_552, 910_252_224, 667_761_024, 2_420_038_656, 0,
+        2_420_038_656, 667_761_024, 910_252_224, 390_695_424, 635_830_272,
+        8_844_347_904, 43_352_064),
+    "topk_8_16_32": (148_119_552, 1_218_533_568, 744_831_360, 2_497_108_992,
+        0, 2_497_108_992, 744_831_360, 1_218_533_568, 390_695_424,
+        635_830_272, 8_844_347_904, 43_352_064),
+}
+
+
+def test_shipped_config_flop_tables_pinned():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
+    assert [os.path.basename(p)[:-4] for p in paths] == sorted(SHIPPED_MACS)
+    for path in paths:
+        table = count_flops(load_config(path).model)["per_module"]
+        want = SHIPPED_MACS[os.path.basename(path)[:-4]]
+        assert table == dict(zip(FLOP_MODULES, want)), path
+
+
+def observed_macs(monkeypatch, model):
+    """MACs of one batch-1 forward, counted from the ops that actually run
+    and attributed to the count_flops module whose code called them."""
+    table = dict.fromkeys(FLOP_MODULES, 0)
+    where = ["head"]                  # the only op outside every wrapper
+    stage_of = {id(blk): i for i, blocks in enumerate(model.params.stages)
+                for blk in blocks}
+
+    def counted(fn, macs):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            table[where[-1]] += macs(args, out)
+            return out
+        return run
+
+    def scoped(fn, module):
+        def run(*args, **kwargs):
+            where.append(module(args))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return run
+
+    def products(args, out):          # dense and matmul: out.size * K
+        return out.size * args[0].shape[-1]
+
+    def taps(args, out):              # conv2d: out.size * kh * kw * c_in
+        kh, kw, c_in, _ = args[1].shape
+        return out.size * kh * kw * c_in
+
+    def norm(args, out):
+        return 2 * out.size
+
+    rules = {"dense": products, "matmul": products, "conv2d": taps,
+             "layer_norm": norm, "batch_norm": norm}
+    for module in (rs_attention, rs_blocks, rs_fusion, rs_model):
+        for name, rule in rules.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(module, name), rule))
+
+    def routing(args, out):           # region means + R x R affinity
+        n, r, t, c = args[0].shape
+        return n * (r * r * c + r * t * c)
+
+    monkeypatch.setattr(rs_attention, "route_regions",
+                        counted(rs_attention.route_regions, routing))
+    for name, module in [
+            ("patch_embed", lambda a: "embed"),
+            ("block_forward", lambda a: f"stage{stage_of[id(a[1])] + 1}"),
+            ("patch_merge", lambda a: "merges"),
+            ("patch_expand", lambda a: "expands"),
+            ("channel_spatial_fuse", lambda a: "fusion"),
+            ("plain_fuse", lambda a: "fusion")]:
+        monkeypatch.setattr(rs_model, name,
+                            scoped(getattr(rs_model, name), module))
+
+    cfg = model.cfg
+    x = np.random.default_rng(84).standard_normal(
+        (1, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
+    model.forward(Tensor(x))
+    return table
+
+
+@pytest.mark.parametrize("cfg,total", [
+    (load_config(os.path.join(CONFIGS, "micro64.cfg")).model, 32_306_176),
+    (ModelConfig(base_channels=16, stage_depths=(1,) * 7), 386_654_688),
+    (dataclasses.replace(
+        load_config(os.path.join(CONFIGS, "no_sccsa.cfg")).model,
+        base_channels=16, stage_depths=(1, 1, 1, 0, 1, 1, 1)), 136_527_328),
+], ids=["micro64", "base_c16_depth1", "no_sccsa_c16"])
+def test_count_flops_equals_macs_of_the_ops_that_run(monkeypatch, cfg, total):
+    flops = count_flops(cfg)
+    assert flops["total_macs"] == total
+    observed = observed_macs(monkeypatch, build_model(cfg, seed=1))
+    assert observed == flops["per_module"]
 
 
 # ---------------------------------------------------------------------------
