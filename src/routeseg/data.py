@@ -155,6 +155,8 @@ def _parse_pnm(path: str) -> Tuple[np.ndarray, int]:
     if len(payload) != need:
         raise DataError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and arr.max() > maxval:   # no byte can exceed 255
+        raise DataError(f"{path}: pixel value {arr.max()} exceeds maxval {maxval}")
     shape = (height, width) if channels == 1 else (height, width, 3)
     return arr.reshape(shape).copy(), maxval
 

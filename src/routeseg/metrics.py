@@ -7,11 +7,13 @@ excluded from means rather than coerced to 0 or 1.
 Hausdorff distance is the exact symmetric max-min over all mask pixels
 (no surface extraction, no percentile), read off the separable squared
 Euclidean distance transform of Meijster, Roerdink & Hesselink (2000) in
-integers, so it equals the brute-force max-min bit for bit. One 2 vCPU
-core takes about 5 ms per 64² 3-class image and 0.09 s per 224² 9-class
-image (brute force: 0.26 s and about 58 s). Classes present in exactly
-one of the two masks contribute the maximal pixel distance (the image
-diagonal); classes absent from both are skipped.
+integers, so it equals the brute-force max-min bit for bit. Each
+direction searches only the pixels one mask has outside the other, as a
+shared pixel is at distance 0 (Taha & Hanbury, 2015). One core of a
+2 vCPU Xeon takes about 0.6 ms per 64² 3-class image and 0.045 s per
+224² 9-class image (brute force: 0.26 s and about 58 s). Classes present
+in exactly one of the two masks contribute the maximal pixel distance
+(the image diagonal); classes absent from both are skipped.
 """
 
 from __future__ import annotations
@@ -72,24 +74,41 @@ def mean_defined(values: List[Optional[float]]) -> Optional[float]:
     return sum(defined) / len(defined) if defined else None
 
 
+# table entries per slice of the row pass: 1 MiB of int32
+_SLICE = 1 << 18
+
+
 def _max_squared_distance(src: np.ndarray, dst: np.ndarray) -> int:
     """Largest squared distance from a pixel of ``src`` to its nearest pixel
     of ``dst``, both non-empty 2-D bool masks, by the exact separable EDT.
 
-    The column pass gives each pixel its distance to the nearest ``dst``
-    pixel in its column (at least h + w when the column has none, whose
-    square exceeds any real squared distance); the row pass takes
-    min over x of (j - x)^2 + g[i, x]^2 for the ``src`` pixels (i, j).
+    A pixel of ``src`` inside ``dst`` is at distance 0, so only the pixels
+    of ``src & ~dst`` are searched. The column pass gives each pixel its
+    distance to the nearest ``dst`` pixel in its column, clamped to h + w
+    (which exceeds any real distance) when the column has none; the row
+    pass takes min over x of (j - x)^2 + g[i, x]^2 for the pixels (i, j)
+    left, ``_SLICE // w`` pixels at a time. The tables are int32 while
+    (h + w)^2 + w^2 fits, int64 beyond.
     """
+    src = src & ~dst
+    if not src.any():
+        return 0
     h, w = dst.shape
-    i = np.arange(h)[:, None]
+    dtype = np.int32 if (h + w) ** 2 + w ** 2 < 2 ** 31 else np.int64
+    i = np.arange(h, dtype=dtype)[:, None]
     above = np.maximum.accumulate(np.where(dst, i, -h - w), axis=0)
     below = np.minimum.accumulate(np.where(dst, i, 2 * h + w)[::-1], axis=0)[::-1]
-    g2 = np.minimum(i - above, below - i) ** 2
-    j = np.arange(w)
+    g2 = np.minimum(np.minimum(i - above, below - i), h + w) ** 2
+    j = np.arange(w, dtype=dtype)
     dx2 = (j[:, None] - j) ** 2
-    return max(int((dx2[src[r]] + g2[r]).min(axis=1).max())
-               for r in np.flatnonzero(src.any(axis=1)))
+    r, c = np.nonzero(src)
+    step = _SLICE // w
+    best = 0
+    for k in range(0, r.size, step):
+        d = dx2[c[k:k + step]]
+        d += g2[r[k:k + step]]
+        best = max(best, int(d.min(axis=1).max()))
+    return best
 
 
 def hausdorff_distance(mask_a: np.ndarray, mask_b: np.ndarray) -> Optional[float]:
@@ -144,7 +163,7 @@ def evaluate_predictions(preds: List[np.ndarray], targets: List[np.ndarray],
 
     Hausdorff is averaged per class over images where it is defined, then
     over classes; it is optional because it is still the slowest piece,
-    about 0.09 s per 224² 9-class image against under 1 ms for the counts.
+    about 0.045 s per 224² 9-class image against under 1 ms for the counts.
     """
     if len(preds) != len(targets):
         raise ValueError(f"{len(preds)} predictions vs {len(targets)} targets")

@@ -348,7 +348,9 @@ def _write_file(path: str, config_text: str, records: Dict[str, np.ndarray]):
             if arr.ndim:
                 f.write(structmod.pack(f"<{arr.ndim}Q", *arr.shape))
             f.write(structmod.pack("<B", tag))
-            f.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPE[tag]).tobytes())
+            # written from the array's own buffer: no tobytes() copy
+            payload = np.ascontiguousarray(arr, dtype=_TAG_DTYPE[tag]).reshape(-1)
+            f.write(memoryview(payload).cast("B"))
 
 
 def read_records(path: str) -> Tuple[str, Dict[str, np.ndarray]]:

@@ -336,12 +336,10 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     ad = a.data
-    # split by sign to avoid exp overflow
-    out = np.empty_like(ad)
-    pos = ad >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-    ez = np.exp(ad[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below.
+    # min(x, -x) rather than -abs(x) keeps the sign of a NaN input
+    e = np.exp(np.minimum(ad, -ad))
+    out = np.where(ad >= 0, 1 / (1 + e), e / (1 + e))
 
     def back(g):
         return (g * out * (1.0 - out),)

@@ -170,6 +170,19 @@ def test_train_without_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_train_on_pixels_above_maxval_is_data_error(tmp_path, capsys):
+    samples = synth_dataset(2, 32, 2, seed=19, in_channels=1)
+    root = str(tmp_path / "data")
+    save_dataset(samples, root)
+    bad = os.path.join(root, "images", samples[0].id + ".pgm")
+    with open(bad, "wb") as f:
+        f.write(b"P5\n2 1\n15\n" + bytes([3, 200]))
+    cfg = write(str(tmp_path / "over.cfg"), QUICK_CFG.replace(
+        "synthetic = true", f"synthetic = false\ndata_root = {root}"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "pixel value 200 exceeds maxval 15" in capsys.readouterr().err
+
+
 def test_train_on_images_of_another_size_is_data_error(tmp_path, capsys):
     samples = synth_dataset(2, 32, 2, seed=19, in_channels=1)
     root = str(tmp_path / "data")

@@ -109,6 +109,21 @@ def test_read_pnm_rejects_malformed(tmp_path, blob, msg):
         read_pnm(path)
 
 
+def test_pixel_above_maxval_is_data_error(tmp_path):
+    root = str(tmp_path)
+    os.makedirs(os.path.join(root, "images"))
+    os.makedirs(os.path.join(root, "masks"))
+    path = os.path.join(root, "images", "a.pgm")
+    with open(path, "wb") as f:
+        f.write(b"P5\n2 1\n15\n" + bytes([3, 200]))
+    write_pgm(os.path.join(root, "masks", "a.pgm"), np.zeros((1, 2), np.uint8))
+    for load in (lambda: read_pnm(path), lambda: read_image(path, 1),
+                 lambda: load_dataset(root, 1, 2)):
+        with pytest.raises(DataError, match="pixel value 200 exceeds maxval 15") as err:
+            load()
+        assert path in str(err.value)
+
+
 def test_read_pnm_missing_file():
     with pytest.raises(DataError, match="no-such"):
         read_pnm("no-such.pgm")

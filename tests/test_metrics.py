@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from routeseg import metrics
 from routeseg.metrics import (confusion_counts, evaluate_predictions,
                               hausdorff_distance, mean_defined, pixel_metrics)
 
@@ -137,15 +138,33 @@ def test_hausdorff_symmetry_on_random_masks():
 
 
 def test_hausdorff_chunked_matches_direct():
-    # more than one 2048-point chunk on one side
+    # the row pass searches src & ~dst in slices of _SLICE // w pixels; the
+    # farthest pixels of a sit in its bottom rows, past the first slice
     rng = np.random.default_rng(75)
-    a = rng.random((80, 80)) < 0.5
-    b = rng.random((80, 80)) < 0.5
-    pa = np.argwhere(a).astype(float)
-    pb = np.argwhere(b).astype(float)
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
-    want = max(np.sqrt(d2.min(axis=1).max()), np.sqrt(d2.min(axis=0).max()))
-    assert abs(hausdorff_distance(a, b) - want) < 1e-12
+    a = rng.random((224, 224)) < 0.03
+    b = rng.random((224, 224)) < 0.03
+    b[112:] = False
+    pa = np.argwhere(a & ~b)
+    pb = np.argwhere(b)
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1).min(axis=1)
+    first_far = np.flatnonzero(d2 == d2.max()).min()
+    assert first_far >= metrics._SLICE // 224
+    assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+    assert hausdorff_distance(a, b) == math.sqrt(d2.max())
+
+
+def test_hausdorff_on_a_strip_beyond_int32_squares():
+    # 49999^2 overflows int32, so a 50000 x 1 strip takes the int64 tables
+    # ((h + w)^2 + w^2 >= 2^31); 40000 x 1 stays below and takes int32
+    for h in (40000, 50000):
+        a = np.zeros((h, 1), bool)
+        b = np.zeros((h, 1), bool)
+        a[[0, h // 2]] = True
+        b[[h // 2, h - 1]] = True
+        assert hausdorff_distance(a, b) == float(h // 2)
+        a[h // 2] = False
+        assert hausdorff_distance(a, b) == float(h - 1)
+        assert hausdorff_distance(b, a) == float(h - 1)
 
 
 def brute_hausdorff(a, b):
@@ -216,6 +235,38 @@ def test_hausdorff_matches_brute_force(pair):
     want = brute_hausdorff(a, b)
     assert hausdorff_distance(a, b) == want
     assert edge_brute_hausdorff(a != 0, b != 0) == want
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """a and b that share pixels: b is a rolled by a small offset, a with a
+    few pixels flipped, a subset or a superset of a, or a itself."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.3, 0.7, 1.0]))
+    kind = draw(st.sampled_from(["roll", "flip", "subset", "superset", "equal"]))
+    if kind == "roll":
+        shift = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        b = np.roll(a, shift, axis=(0, 1))
+    elif kind == "flip":
+        b = a.copy()
+        at = rng.integers(0, a.size, draw(st.integers(1, 4)))
+        b.flat[at] = ~b.flat[at]
+    elif kind == "subset":
+        b = a & (rng.random((h, w)) < 0.7)
+    elif kind == "superset":
+        b = a | (rng.random((h, w)) < 0.1)
+    else:
+        b = a.copy()
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_pairs())
+def test_hausdorff_of_overlapping_masks_matches_brute_force(pair):
+    a, b = pair
+    assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+    assert hausdorff_distance(b, a) == brute_hausdorff(a, b)
 
 
 def test_hausdorff_of_translated_rectangles_at_224():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import glob
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -503,6 +504,25 @@ def test_read_records_rejects_truncation_and_trailing(tmp_path):
 def test_write_records_rejects_unstorable_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="not storable"):
         write_records(ckpt_path(tmp_path), "", {"ids": np.zeros(3, np.int64)})
+
+
+def test_write_records_bytes_equal_a_tobytes_encoding(tmp_path):
+    path = ckpt_path(tmp_path)
+    records = {"scalar": np.array(2.5, np.float32),
+               "w": np.arange(12, dtype=np.float32).reshape(3, 4).T,
+               "v": np.linspace(-1.0, 1.0, 5),
+               "empty": np.zeros((0, 3), np.float32)}
+    write_records(path, "cfg", records)
+    want = [rs_model.CKPT_MAGIC, struct.pack("<I", rs_model.CKPT_VERSION),
+            struct.pack("<I", 3), b"cfg", struct.pack("<I", len(records))]
+    for name, arr in records.items():
+        tag = 0 if arr.dtype == np.float32 else 1
+        want += [struct.pack("<H", len(name)), name.encode(),
+                 struct.pack("<B", arr.ndim),
+                 struct.pack(f"<{arr.ndim}Q", *arr.shape), struct.pack("<B", tag),
+                 np.ascontiguousarray(arr, dtype="<f4" if tag == 0 else "<f8").tobytes()]
+    with open(path, "rb") as f:
+        assert f.read() == b"".join(want)
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path):

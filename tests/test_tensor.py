@@ -80,6 +80,24 @@ def test_sigmoid_extremes_stay_finite():
     np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_keeps_the_bits_of_the_sign_split(dtype):
+    def split(x):               # the earlier boolean-indexed formula
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ez = np.exp(x[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(17)
+    special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e4, -1e4]
+    x = np.concatenate([rng.standard_normal(4096) * 12, special]).astype(dtype)
+    y = T.sigmoid(Tensor(x)).data
+    assert y.dtype == dtype
+    assert y.tobytes() == split(x).tobytes()
+
+
 def test_gelu_and_its_gradient_match_the_closed_form():
     mags = np.array([0.0, 1e-3, 0.5, 3.0, 10.0, 1e3])
     x = np.concatenate([mags, -mags])
