@@ -21,8 +21,10 @@ region. top_k is clamped per stage to the available region count.
 
 from __future__ import annotations
 
+import math
 import os
 import struct as structmod
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -354,46 +356,84 @@ def _write_file(path: str, config_text: str, records: Dict[str, np.ndarray]):
 
 
 def read_records(path: str) -> Tuple[str, Dict[str, np.ndarray]]:
+    """Read a checkpoint written by ``write_records``: (config text, records).
+
+    Format, all integers little-endian: magic ``BRUN``, u32 version, u32
+    config length and UTF-8 config text, u32 record count, then per record
+    a u16 name length and UTF-8 name, u8 rank, rank u64 dims, u8 dtype tag
+    (0 float32, 1 float64) and the raw little-endian payload.
+
+    The file is streamed: each payload is read straight into its own
+    native-order array, so a load holds one array per record and no
+    whole-file buffer. Every returned array owns its data and is writable,
+    aligned and C-contiguous. An unreadable file, bad magic, another
+    version, text that is not UTF-8, an unknown dtype tag, dims that no
+    array can hold, a field or payload that runs past the end of the file
+    (checked before anything is allocated) and trailing bytes all raise
+    ``CheckpointError``.
+    """
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            return _read_file(f, path)
     except OSError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    view = memoryview(blob)
-    pos = 0
+
+
+def _read_file(f, path: str) -> Tuple[str, Dict[str, np.ndarray]]:
+    left = os.fstat(f.fileno()).st_size
+
+    def truncated(what):
+        return CheckpointError(f"truncated checkpoint while reading {what}")
 
     def take(n, what):
-        nonlocal pos
-        if pos + n > len(view):
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        out = view[pos:pos + n]
-        pos += n
+        nonlocal left
+        out = f.read(n) if n <= left else b""
+        if len(out) != n:
+            raise truncated(what)
+        left -= n
         return out
 
-    if bytes(take(4, "magic")) != CKPT_MAGIC:
+    def unpack(fmt, what):
+        return structmod.unpack(fmt, take(structmod.calcsize(fmt), what))
+
+    def text(n, what):
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: {what} is not UTF-8 ({e})") from e
+
+    if take(4, "magic") != CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    (version,) = structmod.unpack("<I", take(4, "version"))
+    (version,) = unpack("<I", "version")
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (clen,) = structmod.unpack("<I", take(4, "config length"))
-    config_text = bytes(take(clen, "config")).decode("utf-8")
-    (count,) = structmod.unpack("<I", take(4, "record count"))
+    config_text = text(unpack("<I", "config length")[0], "config")
+    (count,) = unpack("<I", "record count")
     records: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = structmod.unpack("<H", take(2, "name length"))
-        name = bytes(take(nlen, "name")).decode("utf-8")
-        (rank,) = structmod.unpack("<B", take(1, "rank"))
-        dims = structmod.unpack(f"<{rank}Q", take(8 * rank, "dims")) if rank else ()
-        (tag,) = structmod.unpack("<B", take(1, "dtype"))
+        name = text(unpack("<H", "name length")[0], "name")
+        (rank,) = unpack("<B", "rank")
+        dims = unpack(f"<{rank}Q", "dims")
+        (tag,) = unpack("<B", "dtype")
         if tag not in _TAG_DTYPE:
             raise CheckpointError(f"{name}: unknown dtype tag {tag}")
-        dt = _TAG_DTYPE[tag]
-        need = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(need * dt.itemsize, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
-        records[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
-    if pos != len(view):
-        raise CheckpointError(f"{path}: {len(view) - pos} trailing bytes")
+        dt = _TAG_DTYPE[tag].newbyteorder("=")
+        # Python ints: a corrupt header can neither overflow nor allocate
+        nbytes = math.prod(dims) * dt.itemsize
+        if nbytes > left:
+            raise truncated(f"payload of {name}")
+        try:
+            arr = np.empty(dims, dtype=dt)
+        except ValueError as e:
+            raise CheckpointError(f"{name}: no array has dims {dims} ({e})") from e
+        if f.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
+            raise truncated(f"payload of {name}")
+        left -= nbytes
+        if sys.byteorder != "little":
+            arr.byteswap(inplace=True)
+        records[name] = arr
+    if left:
+        raise CheckpointError(f"{path}: {left} trailing bytes")
     return config_text, records
 
 

@@ -102,11 +102,24 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
     return out.astype(dtype)
 
 
+_DRAW = 1 << 16      # values per conv_init draw: a 512 KiB float64 temporary
+
+
 def conv_init(rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int,
               dtype=np.float32) -> np.ndarray:
-    """Fan-in scaled normal for conv kernels laid out [kh, kw, cin, cout]."""
+    """Fan-in scaled normal for conv kernels laid out [kh, kw, cin, cout].
+
+    Drawn into the output in pieces of ``_DRAW`` values. ``Generator.normal``
+    gives the same stream in pieces as in one call, so every value equals
+    ``rng.normal(0, std, size).astype(dtype)`` bit for bit, without a
+    float64 copy of the whole kernel.
+    """
     std = math.sqrt(2.0 / (kh * kw * cin))
-    return rng.normal(0.0, std, size=(kh, kw, cin, cout)).astype(dtype)
+    out = np.empty((kh, kw, cin, cout), dtype=dtype)
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _DRAW):
+        flat[i:i + _DRAW] = rng.normal(0.0, std, size=min(_DRAW, flat.size - i))
+    return out
 
 
 def zeros(shape, dtype=np.float32) -> np.ndarray:

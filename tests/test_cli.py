@@ -360,6 +360,20 @@ def test_infer_rejects_wrong_extent_image(quick_run, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_infer_on_checkpoint_with_non_utf8_config_is_data_error(quick_run, tmp_path,
+                                                               capsys):
+    text, records = read_records(quick_run["ckpt"])
+    bad = str(tmp_path / "latin1.ckpt")
+    write_records(bad, text, records)
+    blob = bytearray(slurp(bad, "rb"))
+    blob[12] = 0xff                            # first byte of the config text
+    with open(bad, "wb") as f:
+        f.write(blob)
+    assert main(["infer", "--checkpoint", bad, "--image", image_path(quick_run),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "config is not UTF-8" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 

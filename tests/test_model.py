@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import glob
+import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ import routeseg.attention as rs_attention
 import routeseg.blocks as rs_blocks
 import routeseg.fusion as rs_fusion
 import routeseg.model as rs_model
+import routeseg.params as rs_params
 from routeseg.attention import RoutingRecord, recording
 from routeseg.config import load_config
 from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             build_model, count_flops, count_params,
                             load_into_model, read_records, save_model,
                             write_records)
-from routeseg.params import (bind, count_scalars, named_arrays, substitute,
-                             walk_buffers, walk_tensors)
+from routeseg.params import (bind, conv_init, count_scalars, named_arrays,
+                             substitute, walk_buffers, walk_tensors)
 from routeseg.tensor import Tape, Tensor, backward, sum_
 
 from conftest import micro_config
@@ -65,6 +68,37 @@ def test_count_scalars_agrees_with_named_arrays():
     model = build_model(micro_config())
     arrays = named_arrays(model.params)
     assert count_scalars(model.params) == sum(a.size for a in arrays.values())
+
+
+# ---------------------------------------------------------------------------
+# initializers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 7, 384, 96),    # 28 draws, the last partial
+                                   (1, 1, 256, 512),   # exactly two draws
+                                   (3, 3, 8, 16)])     # under one draw
+def test_conv_init_equals_one_draw(shape, dtype):
+    std = np.sqrt(2.0 / (shape[0] * shape[1] * shape[2]))
+    want = np.random.default_rng(12).normal(0.0, std, shape).astype(dtype)
+    got = conv_init(np.random.default_rng(12), *shape, dtype=dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_build_model_holds_no_more_than_its_parameters():
+    cfg = ModelConfig(base_channels=48, input_hw=64)
+    tracemalloc.start()
+    try:
+        model = build_model(cfg, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernels = [t.data.size for _, t in walk_tensors(model.params) if t.data.ndim == 4]
+    assert max(kernels) == 7 * 7 * 384 * 96 > 27 * rs_params._DRAW
+    held = sum(a.nbytes for a in model.records().values())
+    assert peak <= held + 2 * 2 ** 20, \
+        f"build peaked {(peak - held) / 2 ** 20:.1f} MiB above its parameters"
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +533,94 @@ def test_read_records_rejects_truncation_and_trailing(tmp_path):
         f.write(blob + b"xx")
     with pytest.raises(CheckpointError, match="trailing"):
         read_records(path)
+
+
+def test_read_records_round_trips_every_shape_into_owned_arrays(tmp_path):
+    path = ckpt_path(tmp_path)
+    rng = np.random.default_rng(4)
+    # "big" spans several file-reader buffers (io.DEFAULT_BUFFER_SIZE)
+    records = {"scalar": np.array(-1.5, np.float32),
+               "empty": np.zeros((0, 3), np.float32),
+               "w": rng.standard_normal((3, 4)).astype(np.float32),
+               "v": rng.standard_normal(5),
+               "big": rng.standard_normal((3000, 7)).astype(np.float32)}
+    assert records["big"].nbytes > 8 * io.DEFAULT_BUFFER_SIZE
+    write_records(path, "cfg", records)
+    text, back = read_records(path)
+    assert text == "cfg" and list(back) == list(records)
+    for name, want in records.items():
+        got = back[name]
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.dtype.isnative and got.tobytes() == want.tobytes(), name
+        flags = got.flags
+        assert (flags.owndata and flags.writeable and flags.aligned
+                and flags.c_contiguous), name
+
+
+def test_read_records_rejects_truncation_in_a_payload_and_a_header(tmp_path):
+    path = ckpt_path(tmp_path)
+    write_records(path, "cfg", {"big": np.ones((1000, 10), np.float32),
+                                "tail": np.ones((2, 2), np.float32)})
+    blob = open(path, "rb").read()
+    head = 4 + 4 + 4 + 3 + 4 + 2 + 3 + 1 + 16 + 1     # through big's dtype tag
+    cuts = {head + 20000: "payload of big",              # inside the payload
+            head + 40000 + 2 + 4 + 1 + 5: "dims"}        # inside tail's dims
+    for cut, what in cuts.items():
+        with open(path, "wb") as f:
+            f.write(blob[:cut])
+        with pytest.raises(CheckpointError, match=f"truncated .* {what}"):
+            read_records(path)
+
+
+def _record_file(path, config=b"", name=b"w", dims=(2,), payload=b"\0" * 8):
+    """One float32 record with free-form header fields."""
+    with open(path, "wb") as f:
+        f.write(rs_model.CKPT_MAGIC + struct.pack("<II", rs_model.CKPT_VERSION,
+                                                  len(config)))
+        f.write(config + struct.pack("<I", 1))
+        f.write(struct.pack("<H", len(name)) + name)
+        f.write(struct.pack(f"<B{len(dims)}Q", len(dims), *dims))
+        f.write(struct.pack("<B", 0) + payload)
+    return path
+
+
+def test_read_records_rejects_text_that_is_not_utf8(tmp_path):
+    path = ckpt_path(tmp_path)
+    read_records(_record_file(path))                   # the well-formed file
+    with pytest.raises(CheckpointError, match="config is not UTF-8"):
+        read_records(_record_file(path, config=b"seed = \xff"))
+    with pytest.raises(CheckpointError, match="name is not UTF-8"):
+        read_records(_record_file(path, name=b"w\xc3"))
+
+
+@pytest.mark.parametrize("dims,match", [
+    ((2 ** 33, 2 ** 31), "truncated .* payload of w"),  # overflows int64
+    ((2 ** 64 - 1,), "truncated .* payload of w"),
+    ((3,), "truncated .* payload of w"),                  # 12 bytes declared, 8 held
+    ((0, 2 ** 63), "no array has dims"),                  # zero bytes, no array
+    ((1,) * 70, "no array has dims")])                    # beyond numpy's rank
+def test_read_records_rejects_dims_the_file_cannot_hold(tmp_path, dims, match):
+    path = _record_file(ckpt_path(tmp_path), dims=dims)
+    with pytest.raises(CheckpointError, match=match):
+        read_records(path)
+
+
+def test_read_records_holds_no_more_than_its_records(tmp_path):
+    path = ckpt_path(tmp_path)
+    records = {"small": np.ones((3, 5), np.float32),
+               "big": np.ones(2 ** 22, np.float32),      # 16 MiB
+               "v": np.ones(7)}
+    write_records(path, "cfg", records)
+    del records
+    tracemalloc.start()
+    try:
+        _, back = read_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in back.values())
+    assert peak <= held + 2 ** 20, \
+        f"read peaked {(peak - held) / 2 ** 20:.1f} MiB above its records"
 
 
 def test_write_records_rejects_unstorable_dtype(tmp_path):
