@@ -87,12 +87,12 @@ def _load_samples(root: str, run: RunConfig) -> List[SegSample]:
     return samples
 
 
-def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig, Dict[str, np.ndarray]]:
+def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig]:
     config_text, records = read_records(path)
     run = parse_config_text(config_text, source=f"{path}:config")
     model = build_model(run.model, seed=run.seed)
-    extras = load_into_model(model, records)
-    return model, run, extras
+    load_into_model(model, records)
+    return model, run
 
 
 def _read_input_image(path: str, run: RunConfig) -> np.ndarray:
@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, run, _ = _load_checkpoint_model(args.checkpoint)
+    model, run = _load_checkpoint_model(args.checkpoint)
     root = args.data or run.data_root
     if not root:
         raise DataError("no dataset: pass --data or configure data_root")
@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    model, run, _ = _load_checkpoint_model(args.checkpoint)
+    model, run = _load_checkpoint_model(args.checkpoint)
     image = _read_input_image(args.image, run)
     logits = model.forward(Tensor(image[None]), training=False)
     probs = softmax_lastdim(Tensor(logits.data[0].astype(np.float64))).data
@@ -284,7 +284,7 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model, run, _ = _load_checkpoint_model(args.checkpoint)
+    model, run = _load_checkpoint_model(args.checkpoint)
     if not 1 <= args.stage <= 7:
         raise ConfigError(f"stage must be in [1, 7], got {args.stage}")
     stage_idx = args.stage - 1

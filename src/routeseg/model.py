@@ -25,6 +25,8 @@ import math
 import os
 import struct as structmod
 import sys
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -355,32 +357,36 @@ def _write_file(path: str, config_text: str, records: Dict[str, np.ndarray]):
             f.write(memoryview(payload).cast("B"))
 
 
-def read_records(path: str) -> Tuple[str, Dict[str, np.ndarray]]:
-    """Read a checkpoint written by ``write_records``: (config text, records).
+def read_records(path: str) -> Tuple[str, Records]:
+    """Open a checkpoint written by ``write_records``: (config text, records).
 
     Format, all integers little-endian: magic ``BRUN``, u32 version, u32
     config length and UTF-8 config text, u32 record count, then per record
     a u16 name length and UTF-8 name, u8 rank, rank u64 dims, u8 dtype tag
     (0 float32, 1 float64) and the raw little-endian payload.
 
-    The file is streamed: each payload is read straight into its own
-    native-order array, so a load holds one array per record and no
-    whole-file buffer. Every returned array owns its data and is writable,
-    aligned and C-contiguous. An unreadable file, bad magic, another
+    Only the header is read here, and all of it is checked before any
+    payload is read or allocated: an unreadable file, bad magic, another
     version, text that is not UTF-8, an unknown dtype tag, dims that no
     array can hold, a field or payload that runs past the end of the file
-    (checked before anything is allocated) and trailing bytes all raise
-    ``CheckpointError``.
+    and trailing bytes all raise ``CheckpointError``. The payloads are read
+    on access, one at a time, from the file opened here; see ``Records``.
     """
     try:
-        with open(path, "rb") as f:
-            return _read_file(f, path)
+        f = open(path, "rb")
+        try:
+            config_text, index = _read_header(f, path)
+        except BaseException:
+            f.close()
+            raise
     except OSError as e:
         raise CheckpointError(f"{path}: {e}") from e
+    return config_text, Records(_PayloadFile(f.detach(), path), index)
 
 
-def _read_file(f, path: str) -> Tuple[str, Dict[str, np.ndarray]]:
-    left = os.fstat(f.fileno()).st_size
+def _read_header(f, path: str) -> Tuple[str, Dict[str, tuple]]:
+    """Config text and a per-name (offset, dims, dtype) index, in file order."""
+    size = left = os.fstat(f.fileno()).st_size
 
     def truncated(what):
         return CheckpointError(f"truncated checkpoint while reading {what}")
@@ -409,7 +415,7 @@ def _read_file(f, path: str) -> Tuple[str, Dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: unsupported version {version}")
     config_text = text(unpack("<I", "config length")[0], "config")
     (count,) = unpack("<I", "record count")
-    records: Dict[str, np.ndarray] = {}
+    index: Dict[str, tuple] = {}
     for _ in range(count):
         name = text(unpack("<H", "name length")[0], "name")
         (rank,) = unpack("<B", "rank")
@@ -422,19 +428,88 @@ def _read_file(f, path: str) -> Tuple[str, Dict[str, np.ndarray]]:
         nbytes = math.prod(dims) * dt.itemsize
         if nbytes > left:
             raise truncated(f"payload of {name}")
+        # a zero-size probe; dims with data fit the file, so only their
+        # rank can be refused
         try:
-            arr = np.empty(dims, dtype=dt)
+            np.empty(dims if nbytes == 0 else (0,) * rank, dtype=dt)
         except ValueError as e:
             raise CheckpointError(f"{name}: no array has dims {dims} ({e})") from e
-        if f.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
-            raise truncated(f"payload of {name}")
+        index[name] = (size - left, dims, dt)
+        f.seek(nbytes, os.SEEK_CUR)
         left -= nbytes
-        if sys.byteorder != "little":
-            arr.byteswap(inplace=True)
-        records[name] = arr
     if left:
         raise CheckpointError(f"{path}: {left} trailing bytes")
-    return config_text, records
+    return config_text, index
+
+
+class _PayloadFile:
+    """An open checkpoint file, unbuffered so that every read sees the file
+    as it is now; closed once no ``Records`` refers to it."""
+
+    def __init__(self, raw, path: str):
+        self.path = path
+        self._raw = raw
+        weakref.finalize(self, raw.close)
+
+    def read(self, name: str, offset: int, dims: tuple, dtype) -> np.ndarray:
+        arr = np.empty(dims, dtype=dtype)
+        view = memoryview(arr.reshape(-1)).cast("B")
+        got = 0
+        try:
+            self._raw.seek(offset)
+            while got < len(view):
+                n = self._raw.readinto(view[got:])
+                if not n:   # the file shrank since its header was read
+                    raise CheckpointError(
+                        f"truncated checkpoint while reading payload of {name}")
+                got += n
+        except OSError as e:
+            raise CheckpointError(f"{self.path}: {e}") from e
+        if sys.byteorder != "little":
+            arr.byteswap(inplace=True)
+        return arr
+
+
+class Records(Mapping):
+    """Checkpoint records by name, in file order, read on access.
+
+    ``records[name]`` reads that payload from the file ``read_records``
+    opened into a fresh native-order array that owns its data and is
+    writable, aligned and C-contiguous. Another file renamed over the path
+    meanwhile does not change what is read; a file that has since shrunk
+    is a ``CheckpointError``. Names, shapes and dtypes (``layout``) come
+    from the header alone. ``pop`` drops a name after reading it, and
+    ``copy`` gives an independent index over the same file, which is
+    closed when the last mapping that uses it is dropped.
+    """
+
+    def __init__(self, payloads: _PayloadFile, index: Dict[str, tuple]):
+        self._payloads = payloads
+        self._index = index
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._payloads.read(name, *self._index[name])
+
+    def __contains__(self, name) -> bool:
+        return name in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def layout(self, name: str) -> Optional[Tuple[tuple, np.dtype]]:
+        entry = self._index.get(name)
+        return None if entry is None else entry[1:]
+
+    def pop(self, name: str) -> np.ndarray:
+        arr = self[name]
+        del self._index[name]
+        return arr
+
+    def copy(self) -> "Records":
+        return Records(self._payloads, dict(self._index))
 
 
 def save_model(path: str, model: Model, config_text: str = "",
@@ -447,30 +522,42 @@ def save_model(path: str, model: Model, config_text: str = "",
     write_records(path, config_text, records)
 
 
-def take_records(records: Dict[str, np.ndarray], wanted: Dict[str, np.ndarray],
+def _layout(records: Mapping[str, np.ndarray], name: str):
+    """(shape, dtype) of a record, or None; lazy records answer from their
+    header without reading the payload."""
+    if isinstance(records, Records):
+        return records.layout(name)
+    arr = records.get(name)
+    return None if arr is None else (arr.shape, arr.dtype)
+
+
+def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray],
                  source: str = "checkpoint"):
     """Pop each wanted name from ``records`` and copy it into its array.
 
-    Every wanted record must be present with an identical shape and
-    dtype, otherwise ``source`` does not describe this run and loading
-    aborts. All records are checked before any is copied, so a failed
-    load leaves every wanted array as it was.
+    ``records`` is a dict or the ``Records`` of ``read_records``. Every
+    wanted record must be present with an identical shape and dtype,
+    otherwise ``source`` does not describe this run and loading aborts.
+    All records are checked, without reading a payload, before any is
+    copied, so a failed load leaves every wanted array as it was; the
+    copies then go one record at a time.
     """
     for name, dst in wanted.items():
-        src = records.get(name)
-        if src is None:
+        layout = _layout(records, name)
+        if layout is None:
             raise CheckpointError(f"{source} is missing {name}")
-        if src.shape != dst.shape or src.dtype != dst.dtype:
+        shape, dtype = layout
+        if shape != dst.shape or dtype != dst.dtype:
             raise CheckpointError(
-                f"{name}: {source} has {src.dtype}{src.shape}, "
+                f"{name}: {source} has {dtype}{shape}, "
                 f"this run wants {dst.dtype}{dst.shape}")
     for name, dst in wanted.items():
         dst[...] = records.pop(name)
 
 
-def load_into_model(model: Model, records: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+def load_into_model(model: Model, records: Mapping[str, np.ndarray]):
     """Copy every model parameter and buffer out of ``records``; return the
-    leftovers."""
-    extras = dict(records)
+    leftovers, of the same kind as ``records``."""
+    extras = records.copy()
     take_records(extras, model.records())
     return extras

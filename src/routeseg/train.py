@@ -77,6 +77,28 @@ def _state_records(state: TrainState) -> Dict[str, np.ndarray]:
             "state.best_dsc": np.array(float(state.best_dsc))}
 
 
+def _resume(model: Model, opt: Optimizer, path: str) -> TrainState:
+    """Load the model, optimizer and progress of a run from its checkpoint.
+
+    The records and the open checkpoint file are released on return, so
+    the run that follows holds neither.
+    """
+    _, records = read_records(path)
+    extras = load_into_model(model, records)
+    run_state = {**opt.state_records(), **_state_records(TrainState())}
+    take_records(extras, run_state, path)
+    # a record nothing took, such as another optimizer's slots, means the
+    # checkpoint comes from a different kind of run
+    if extras:
+        unused = sorted(extras)
+        raise CheckpointError(f"{path}: record {unused[0]} is not used by "
+                              f"this run ({len(unused)} unused records)")
+    opt.t = int(run_state["opt.t"])
+    return TrainState(epoch=int(run_state["state.epoch"]),
+                      step=int(run_state["state.step"]),
+                      best_dsc=float(run_state["state.best_dsc"]))
+
+
 def _cut_log(path: str, state: TrainState):
     """Drop the log records written after the checkpoint ``state`` came from.
 
@@ -149,22 +171,7 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     eval_set = val_samples if val_samples else train_samples
 
     opt = Optimizer(ocfg, walk_tensors(model.params))
-    state = TrainState()
-    if resume_from is not None:
-        _, records = read_records(resume_from)
-        extras = load_into_model(model, records)
-        run_state = {**opt.state_records(), **_state_records(state)}
-        take_records(extras, run_state, resume_from)
-        # a record nothing took, such as another optimizer's slots, means the
-        # checkpoint comes from a different kind of run
-        if extras:
-            unused = sorted(extras)
-            raise CheckpointError(f"{resume_from}: record {unused[0]} is not used by "
-                                  f"this run ({len(unused)} unused records)")
-        opt.t = int(run_state["opt.t"])
-        state = TrainState(epoch=int(run_state["state.epoch"]),
-                           step=int(run_state["state.step"]),
-                           best_dsc=float(run_state["state.best_dsc"]))
+    state = TrainState() if resume_from is None else _resume(model, opt, resume_from)
 
     own_stream = None
     if log_stream is None and out_dir is not None:

@@ -1,8 +1,27 @@
+import os
+
 import pytest
 
 from routeseg.model import ModelConfig
 
 CONFIGS_DIR = "configs"
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="needs /proc/self/fd")
+
+
+def fds_open_on(path: str) -> int:
+    """How many of this process's file descriptors refer to ``path``, also
+    after another file was renamed over it."""
+    want = os.path.realpath(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", fd))
+        except OSError:          # the descriptor listdir itself used
+            continue
+        count += target in (want, want + " (deleted)")
+    return count
 
 
 def micro_config(**overrides) -> ModelConfig:

@@ -5,6 +5,7 @@ import io
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from routeseg.params import (bind, conv_init, count_scalars, named_arrays,
                              substitute, walk_buffers, walk_tensors)
 from routeseg.tensor import Tape, Tensor, backward, sum_
 
-from conftest import micro_config
+from conftest import fds_open_on, micro_config, needs_proc_fd
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +619,52 @@ def test_read_records_holds_no_more_than_its_records(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in back.values())
-    assert peak <= held + 2 ** 20, \
-        f"read peaked {(peak - held) / 2 ** 20:.1f} MiB above its records"
+    # the header alone is read; the 16 MiB payload waits for its access
+    assert peak <= 2 ** 20, f"read peaked at {peak / 2 ** 20:.1f} MiB"
+    assert back["big"].nbytes == 2 ** 24
+
+
+def test_records_read_the_file_that_was_opened(tmp_path):
+    path = ckpt_path(tmp_path)
+    old = np.arange(4, dtype=np.float32)
+    write_records(path, "old", {"w": old})
+    _, records = read_records(path)
+    write_records(path, "new", {"w": old + 7})         # renamed over the path
+    assert read_records(path)[1]["w"][0] == 7
+    np.testing.assert_array_equal(records["w"], old)
+
+
+def test_records_of_a_file_truncated_after_opening_refuse_to_read(tmp_path):
+    path = ckpt_path(tmp_path)
+    write_records(path, "cfg", {"a": np.ones(4, np.float32),
+                                "b": np.ones((64, 64), np.float32)})
+    _, records = read_records(path)
+    np.testing.assert_array_equal(records["a"], 1.0)
+    os.truncate(path, os.path.getsize(path) - 8)       # inside b
+    with pytest.raises(CheckpointError, match="truncated .* payload of b"):
+        records["b"]
+    np.testing.assert_array_equal(records["a"], 1.0)
+    os.truncate(path, 0)
+    with pytest.raises(CheckpointError, match="truncated .* payload of a"):
+        records["a"]
+
+
+@needs_proc_fd
+def test_dropping_records_closes_their_file(tmp_path):
+    path = ckpt_path(tmp_path)
+    write_records(path, "cfg", {"w": np.ones(3, np.float32)})
+    _, records = read_records(path)
+    leftovers = records.copy()
+    assert leftovers.pop("w")[0] == 1.0 and "w" in records
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del records
+        gc.collect()
+        assert fds_open_on(path) == 1                  # the copy still reads it
+        del leftovers
+        gc.collect()
+    assert fds_open_on(path) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_write_records_rejects_unstorable_dtype(tmp_path):
@@ -697,3 +741,46 @@ def test_failed_load_leaves_model_unchanged():
         load_into_model(model, records)
     for name, arr in model.records().items():
         np.testing.assert_array_equal(arr, before[name])
+
+
+@pytest.mark.parametrize("change", ["shape", "dtype"])
+def test_failed_load_of_lazy_records_reads_no_payload(tmp_path, change):
+    # the mismatch is the last record; the file is emptied once its header
+    # is read, so a load that read a payload before checking them all fails
+    # with a truncation instead
+    path = ckpt_path(tmp_path)
+    model = build_model(micro_config(), seed=9)
+    var = model.params.fuses[2].bn_var
+    model.params.fuses[2].bn_var = (np.ones(var.size + 1) if change == "shape"
+                                    else var.astype(np.float32))
+    save_model(path, model)
+    _, records = read_records(path)
+    os.truncate(path, 0)
+    fresh = build_model(micro_config(), seed=8)
+    before = {k: v.copy() for k, v in fresh.records().items()}
+    with pytest.raises(CheckpointError,
+                       match="fuses.2.bn_var: checkpoint has"):
+        load_into_model(fresh, records)
+    for name, arr in fresh.records().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
+def test_load_holds_the_model_and_one_record(tmp_path):
+    # read_records, build_model, load_into_model, as `routeseg infer` loads
+    cfg = ModelConfig(base_channels=48, input_hw=64)
+    path = ckpt_path(tmp_path)
+    save_model(path, build_model(cfg, seed=3), "cfg")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, records = read_records(path)
+        model = build_model(cfg, seed=4)
+        load_into_model(model, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [a.nbytes for a in model.records().values()]
+    assert sum(sizes) > 48 * 2 ** 20
+    bound = sum(sizes) + max(sizes) + 2 ** 20
+    assert peak <= bound, \
+        f"load peaked {(peak - bound) / 2 ** 20:.1f} MiB above its bound"

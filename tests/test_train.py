@@ -18,7 +18,7 @@ from routeseg.params import named_arrays
 from routeseg.train import (NumericAbort, TrainState, evaluate,
                             predict_batches, train_loop)
 
-from conftest import micro_config
+from conftest import fds_open_on, micro_config, needs_proc_fd
 
 
 def tiny_optim(epochs=2, **kw):
@@ -156,6 +156,28 @@ def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
     for name in ("train_log.jsonl", "last.ckpt"):
         assert open(str(tmp_path / "straight" / name), "rb").read() == \
             open(str(tmp_path / "resumed" / name), "rb").read(), name
+
+
+@needs_proc_fd
+def test_resume_releases_its_checkpoint_before_the_first_step(tmp_path):
+    samples = synth_dataset(4, 32, 2, seed=17, in_channels=1)
+    out = str(tmp_path)
+    train_loop(build_model(micro_config(), seed=5), samples, [],
+               tiny_optim(epochs=2), seed=5, eval_every=0, out_dir=out,
+               stop_after_epochs=1)
+    ckpt = os.path.join(out, "last.ckpt")
+    seen = []
+
+    class Probe(io.StringIO):
+        def write(self, line):
+            if not seen and json.loads(line)["kind"] == "step":
+                seen.append(fds_open_on(ckpt))
+            return super().write(line)
+
+    train_loop(build_model(micro_config(), seed=5), samples, [],
+               tiny_optim(epochs=2), seed=5, eval_every=0, out_dir=out,
+               log_stream=Probe(), resume_from=ckpt)
+    assert seen == [0]
 
 
 def test_train_loop_peak_memory_does_not_grow_with_steps():
