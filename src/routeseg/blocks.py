@@ -9,9 +9,11 @@ Block recipe, all residual:
 Patch embed halves resolution twice with 3x3 stride-2 convs (3 -> C/2 ->
 C), norm + gelu after each. Patch merge is one 3x3 stride-2 conv doubling
 channels, then norm. Patch expand is a token-wise affine to factor^2
-output channels followed by a sub-pixel rearrangement (row-major within
-each factor x factor cell); factor 2 halves channels, the final factor 4
-keeps them.
+output channels, read as one factor x factor cell of channels per
+position (row-major within the cell); factor 2 halves channels, the
+final factor 4 keeps them. The pixel shuffle that lays the cells out at
+factor times the resolution is a separate step, so a token-wise op can
+run on the cells before it.
 """
 
 from __future__ import annotations
@@ -148,15 +150,22 @@ class PatchExpandParams:
 
 
 def patch_expand(x: Tensor, p: PatchExpandParams) -> Tensor:
-    """Sub-pixel upsample: [N, H, W, C] -> [N, fH, fW, out_ch].
+    """Sub-pixel cells: [N, H, W, C] -> [N, H, W, f, f, out_ch].
 
-    The affine output is read as an f x f cell of out_ch channels per
-    position, row-major within the cell.
+    The token-wise affine's output at (i, j) is read as an f x f cell of
+    out_ch channels, row-major within the cell: cell entry (a, b) holds
+    channels [(a*f + b)*out_ch : +out_ch]. The result is a view of the
+    affine's output; ``pixel_shuffle`` lays the cells out as a map.
     """
     n, h, w, _ = x.shape
     f = p.factor
-    out_ch = p.w.shape[1] // (f * f)
-    y = dense(x, p.w, p.b)
-    y = reshape(y, (n, h, w, f, f, out_ch))
-    y = transpose(y, (0, 1, 3, 2, 4, 5))
-    return reshape(y, (n, h * f, w * f, out_ch))
+    return reshape(dense(x, p.w, p.b), (n, h, w, f, f, p.w.shape[1] // (f * f)))
+
+
+def pixel_shuffle(cells: Tensor) -> Tensor:
+    """[N, H, W, f, f, C] -> [N, fH, fW, C]: cell entry (a, b) at (i, j)
+    becomes pixel (f*i + a, f*j + b), in one copy. A token-wise op commutes
+    with it, so one that narrows the channels (the classifier head) can run
+    on the cells first and leave only its output to be copied."""
+    n, h, w, f, _, c = cells.shape
+    return reshape(transpose(cells, (0, 1, 3, 2, 4, 5)), (n, h * f, w * f, c))

@@ -5,7 +5,8 @@ followed by a patch merge; stage 4 sits at 8C on stride 32. Decoder
 stages 5-7 mirror 4C, 2C, C, each entered through a patch expand and,
 where the skip mask allows, a fusion with the matching encoder output
 (expand -> concat/fuse -> blocks). A final 4x expand and a linear head
-produce per-pixel class logits at input resolution.
+produce per-pixel class logits at input resolution; the head runs on the
+expand's sub-pixel cells and only the logits are pixel-shuffled.
 
 The default depths put zero blocks in stage 4: the published parameter
 and FLOP totals for this architecture are only mutually consistent with
@@ -35,7 +36,7 @@ import numpy as np
 from .attention import LCE_KERNEL, PartitionSpec, attention_flops, effective_s
 from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      PatchExpandParams, PatchMergeParams, block_forward,
-                     patch_embed, patch_expand, patch_merge)
+                     patch_embed, patch_expand, patch_merge, pixel_shuffle)
 from .fusion import (GATE_KERNEL, GATE_REDUCTION, FusionParams,
                      PlainFuseParams, channel_spatial_fuse, plain_fuse)
 from .params import bind, trunc_normal, walk_buffers, walk_tensors, zeros
@@ -161,7 +162,7 @@ class Model:
         skips = []
         for i, blocks in enumerate(p.stages):
             if i > 3:
-                h = patch_expand(h, p.expands[i - 4])
+                h = pixel_shuffle(patch_expand(h, p.expands[i - 4]))
                 fuse = p.fuses[i - 4]
                 if isinstance(fuse, FusionParams):
                     h = channel_spatial_fuse(skips[6 - i], h, fuse, training=training)
@@ -172,8 +173,9 @@ class Model:
             if i < 3:
                 skips.append(h)
                 h = patch_merge(h, p.merges[i])
-        h = patch_expand(h, p.final_expand)
-        return dense(h, p.head_w, p.head_b)
+        # the head is token-wise, so it runs on the final expand's cells and
+        # only its num_classes-wide logits are shuffled to full resolution
+        return pixel_shuffle(dense(patch_expand(h, p.final_expand), p.head_w, p.head_b))
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:

@@ -351,11 +351,22 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    The forward holds two buffers of x's size, th and the output, and fills
+    them in place; each step is the same IEEE operation, in the same order,
+    as the textbook expression, so the bits are those of that expression.
+    th = tanh(c (x + 0.044715 x^3)) is kept for the backward pass.
+    """
     x = a.data
-    u = _GELU_C * (x + 0.044715 * (x * x * x))
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    th = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = 0.5 * x
+    out *= 1.0 + th
 
     def back(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
@@ -467,14 +478,19 @@ def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def softmax_lastdim(a: Tensor, scale: float = 1.0) -> Tensor:
-    """softmax(scale * a) along the last axis, max-shifted for stability."""
+    """softmax(scale * a) along the last axis, max-shifted for stability.
+
+    One buffer of a's size is allocated, scale * a, and the shift, exp and
+    normalization run in place in it: the same operations in the same order
+    as the out-of-place form, so the same bits.
+    """
     if scale <= 0:
         raise ValueError(f"softmax scale must be positive, got {scale}")
     _nonempty(a, "softmax")
-    z = a.data * scale
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data * scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def back(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
@@ -525,11 +541,20 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     dense w [kh, kw, C, Cout] mixes all input channels into each output;
     depth-wise w [kh, kw, 1, C] with C > 1 filters channel c with
     w[:, :, 0, c] alone, so Cout = C. Any other weight shape is an error.
-    Output extent floor((H + 2*padding - kh)/stride) + 1.
+    Output extent floor((H + 2*padding - kh)/stride) + 1, with x read as
+    zero outside its borders.
 
-    Both kinds loop over the kh*kw kernel taps, forward and backward: tap
-    (i, j) multiplies the strided slice xp[:, i::stride, j::stride] of the
-    padded input by w[i, j, 0] (depth-wise) or by the GEMM @ w[i, j] (dense).
+    Both kinds loop over the kh*kw kernel taps, forward and backward, with
+    no padded copy of x. Tap (i, j) reads input row o*stride + i - padding
+    for output row o (columns alike), so it runs only on the output window
+    whose input lies inside x, and a tap whose window is empty is skipped:
+    no product with a padding zero is formed. On that window the tap adds
+    the strided slice of x times w[i, j, 0] (depth-wise) or its GEMM with
+    w[i, j] (dense), in the order a padded loop adds them, so the output
+    has a padded loop's bits wherever BLAS rounds a GEMM row the same at
+    any row count. Every conv shape of micro64 at batch 8 and of base at
+    batch 1 does; a one-row window (a 7x7 corner tap on a 4x4 map at
+    batch 1) goes down a matrix-vector path that can round differently.
     There is no im2col buffer of kh*kw input copies (118 MB in float32 for
     the 7x7 fusion conv at [1, 56, 56, 192]).
     """
@@ -552,31 +577,49 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     parents = (x, w, b) if with_bias else (x, w)
     tape = _operands("conv2d", *parents)
 
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    xd = x.data
     ho, wo = (h + 2 * padding - kh) // stride + 1, (ww_ + 2 * padding - kw) // stride + 1
-    taps = [(i, j, np.s_[:, i:i + ho * stride:stride, j:j + wo * stride:stride])
-            for i in range(kh) for j in range(kw)]
-    wt = w.data[:, :, 0] if depthwise else w.data  # per tap: [C] scales or [C, Cout]
 
-    def mix(a, m):  # one tap's product, a [N, Ho, Wo, .] with m
-        return a * m if depthwise else (a.reshape(-1, m.shape[0]) @ m).reshape(n, ho, wo, -1)
-    out = np.zeros((n, ho, wo, cout), dtype=xp.dtype)
-    for i, j, sl in taps:
-        out += mix(xp[sl], wt[i, j])
+    def windows(size, n_out, k_size):
+        # per kernel offset k: the outputs o in [lo, hi) whose input
+        # o*stride + k - padding lies in [0, size), and that input slice;
+        # None when no output reaches the input
+        spans = []
+        for k in range(k_size):
+            lo = max(0, -((k - padding) // stride))
+            hi = min(n_out, (size - 1 + padding - k) // stride + 1)
+            first = lo * stride + k - padding
+            spans.append((slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride))
+                         if lo < hi else None)
+        return spans
+
+    # (i, j, output window, input slice) of every tap that reaches x
+    rows, cols = windows(h, ho, kh), windows(ww_, wo, kw)
+    taps = [(i, j, (slice(None), r[0], c[0]), (slice(None), r[1], c[1]))
+            for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
+    wt = w.data[:, :, 0] if depthwise else w.data  # per tap: [C] scales or [C, Cout]
+    out = np.zeros((n, ho, wo, cout), dtype=xd.dtype)
+    for i, j, osl, xsl in taps:
+        # o is a view, so += on it skips the write-back of out[osl] += ...
+        o, xs = out[osl], xd[xsl]
+        o += xs * wt[i, j] if depthwise else (xs.reshape(-1, cin) @ wt[i, j]).reshape(o.shape)
     if with_bias:
         out += b.data
 
     def back(g):
-        dxp = np.zeros(xp.shape, dtype=g.dtype)
-        gw = np.empty((kh, kw, wcin, cout), dtype=g.dtype)
-        g2 = g.reshape(-1, cout)
-        for i, j, sl in taps:
-            gw[i, j] = (xp[sl] * g).sum((0, 1, 2)) if depthwise else xp[sl].reshape(-1, cin).T @ g2
-            dxp[sl] += mix(g, wt[i, j].T)
-        dx = dxp[:, padding:padding + h, padding:padding + ww_]
-        return (dx, gw, g2.sum(axis=0)) if with_bias else (dx, gw)
+        dx = np.zeros(xd.shape, dtype=g.dtype)
+        gw = np.zeros((kh, kw, wcin, cout), dtype=g.dtype)
+        for i, j, osl, xsl in taps:
+            xs, d = xd[xsl], dx[xsl]
+            if depthwise:
+                gs = g[osl]
+                gw[i, j, 0] = (xs * gs).sum((0, 1, 2))
+                d += gs * wt[i, j]
+            else:
+                g2 = g[osl].reshape(-1, cout)
+                gw[i, j] = xs.reshape(-1, cin).T @ g2
+                d += (g2 @ wt[i, j].T).reshape(d.shape)
+        return (dx, gw, g.reshape(-1, cout).sum(axis=0)) if with_bias else (dx, gw)
 
     return _make(out, tape, "conv2d", parents, back)
 

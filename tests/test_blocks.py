@@ -4,7 +4,8 @@ import pytest
 from routeseg.attention import PartitionSpec, RoutingRecord, recording
 from routeseg.blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                              PatchExpandParams, PatchMergeParams, block_forward,
-                             patch_embed, patch_expand, patch_merge)
+                             patch_embed, patch_expand, patch_merge,
+                             pixel_shuffle)
 from routeseg.params import bind, count_scalars
 from routeseg.tensor import Tape, Tensor, backward, sum_
 
@@ -25,18 +26,24 @@ def test_patch_merge_halves_and_doubles():
     assert out.shape == (1, 4, 4, 16)
 
 
+# patch_expand returns the sub-pixel cells [N, H, W, f, f, out_ch] and
+# pixel_shuffle lays them out; the expanded map is the two together
+
+
 def test_patch_expand_factor2_shape_and_channels():
     rng = np.random.default_rng(42)
     p = PatchExpandParams.init(16, 2, rng, dtype=np.float64)
-    out = patch_expand(Tensor(rng.standard_normal((1, 4, 4, 16))), p)
-    assert out.shape == (1, 8, 8, 8)
+    cells = patch_expand(Tensor(rng.standard_normal((1, 4, 4, 16))), p)
+    assert cells.shape == (1, 4, 4, 2, 2, 8)
+    assert pixel_shuffle(cells).shape == (1, 8, 8, 8)
 
 
 def test_patch_expand_factor4_keeps_channels():
     rng = np.random.default_rng(43)
     p = PatchExpandParams.init(8, 4, rng, dtype=np.float64)
-    out = patch_expand(Tensor(rng.standard_normal((1, 4, 4, 8))), p)
-    assert out.shape == (1, 16, 16, 8)
+    cells = patch_expand(Tensor(rng.standard_normal((1, 4, 4, 8))), p)
+    assert cells.shape == (1, 4, 4, 4, 4, 8)
+    assert pixel_shuffle(cells).shape == (1, 16, 16, 8)
 
 
 def test_patch_expand_matches_subpixel_oracle():
@@ -48,7 +55,7 @@ def test_patch_expand_matches_subpixel_oracle():
     out_ch = in_ch // 2
     x = rng.standard_normal((1, 3, 3, in_ch))
     affine = x @ p.w.data + p.b.data
-    got = patch_expand(Tensor(x), p).data
+    got = pixel_shuffle(patch_expand(Tensor(x), p)).data
     for i in range(3):
         for j in range(3):
             for a in range(f):

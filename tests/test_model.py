@@ -6,6 +6,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +362,54 @@ def test_forward_produces_logits_at_input_resolution():
     assert np.isfinite(logits.data).all()
 
 
+# the head is token-wise, so Model.forward runs it on the final expand's
+# sub-pixel cells and shuffles only the logits; that must be the bits of
+# shuffling the cells first
+@pytest.mark.parametrize("cfg,n", [
+    (load_config(os.path.join(CONFIGS, "micro64.cfg")).model, 2),
+    (ModelConfig(base_channels=16, stage_depths=(1,) * 7), 1),
+], ids=["micro64", "base_c16_depth1"])
+def test_forward_logits_equal_expand_then_shuffle_then_head(monkeypatch, cfg, n):
+    model = build_model(cfg, seed=2)
+    expand_inputs = []
+
+    def spy(h, p):
+        expand_inputs.append(h)
+        return rs_blocks.patch_expand(h, p)
+
+    monkeypatch.setattr(rs_model, "patch_expand", spy)
+    x = np.random.default_rng(85).standard_normal(
+        (n, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
+    got = model.forward(Tensor(x)).data
+    p = model.params
+    full = rs_blocks.pixel_shuffle(rs_blocks.patch_expand(expand_inputs[-1],
+                                                          p.final_expand))
+    want = rs_model.dense(full, p.head_w, p.head_b).data
+    assert got.shape == want.shape == (n, cfg.input_hw, cfg.input_hw,
+                                       cfg.num_classes)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_no_tape_forward_holds_no_full_resolution_copy_of_the_final_expand():
+    # one full-resolution map of base_channels float32 values is 3.06 MiB
+    # at this config. The final expand's cells are one such map; a shuffled
+    # copy of them beside it (and the padded conv inputs) took the traced
+    # peak of this forward to 8.6 MiB, against 5.9 MiB without
+    cfg = ModelConfig(base_channels=16, stage_depths=(1,) * 7)
+    model = build_model(cfg, seed=1)
+    x = Tensor(np.random.default_rng(86).standard_normal(
+        (1, 224, 224, 3)).astype(np.float32))
+    model.forward(x)
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full_map = 224 * 224 * cfg.base_channels * 4
+    assert peak < 2.3 * full_map, peak / 2 ** 20
+
+
 def test_training_step_tape_is_freed_by_reference_counting():
     # a backward closure that holds a tape-bound Tensor makes the tape a
     # reference cycle; its activations then outlive the step until the
@@ -514,7 +563,7 @@ def test_read_records_rejects_bad_magic(tmp_path):
 def test_read_records_rejects_wrong_version(tmp_path):
     path = ckpt_path(tmp_path)
     write_records(path, "", {})
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4] = 99
     with open(path, "wb") as f:
         f.write(blob)
@@ -525,7 +574,7 @@ def test_read_records_rejects_wrong_version(tmp_path):
 def test_read_records_rejects_truncation_and_trailing(tmp_path):
     path = ckpt_path(tmp_path)
     write_records(path, "cfg", {"w": np.zeros((3,), np.float32)})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     with open(path, "wb") as f:
         f.write(blob[:-2])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -562,7 +611,7 @@ def test_read_records_rejects_truncation_in_a_payload_and_a_header(tmp_path):
     path = ckpt_path(tmp_path)
     write_records(path, "cfg", {"big": np.ones((1000, 10), np.float32),
                                 "tail": np.ones((2, 2), np.float32)})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     head = 4 + 4 + 4 + 3 + 4 + 2 + 3 + 1 + 16 + 1     # through big's dtype tag
     cuts = {head + 20000: "payload of big",              # inside the payload
             head + 40000 + 2 + 4 + 1 + 5: "dims"}        # inside tail's dims

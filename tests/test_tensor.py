@@ -1,11 +1,15 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from routeseg import attention, blocks, fusion
 from routeseg import tensor as T
+from routeseg.config import load_config
 from routeseg.gradcheck import grad_check
+from routeseg.model import build_model
 from routeseg.tensor import Grads, Tape, Tensor, backward
 
 
@@ -607,6 +611,160 @@ def test_conv2d_fusion_and_lce_shapes_match_loop_and_differences(xshape, wshape,
     b = rng.standard_normal(wshape[3])
     check_conv_against_loop_and_differences(rng.standard_normal(xshape),
                                             rng.standard_normal(wshape), b, 1, padding)
+
+
+def padded_tap_conv(x, w, b, stride, padding):
+    """conv2d by an explicit zero pad and a loop over every kernel tap, in
+    float64: the output and a function from an output gradient to the x, w
+    and b gradients."""
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    n, h, ww, cin = x.shape
+    kh, kw, _, cout = w.shape
+    depthwise = w.shape[2] != cin
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (ww + 2 * padding - kw) // stride + 1
+    taps = [(i, j, np.s_[:, i:i + (ho - 1) * stride + 1:stride,
+                         j:j + (wo - 1) * stride + 1:stride])
+            for i in range(kh) for j in range(kw)]
+    out = np.zeros((n, ho, wo, cout))
+    for i, j, sl in taps:
+        out += (xp[sl] * w[i, j, 0] if depthwise
+                else np.einsum("nhwc,co->nhwo", xp[sl], w[i, j]))
+    if b is not None:
+        out += b
+
+    def vjp(g):
+        g = g.astype(np.float64)
+        dxp, gw = np.zeros_like(xp), np.zeros_like(w)
+        for i, j, sl in taps:
+            if depthwise:
+                gw[i, j, 0] = (xp[sl] * g).sum((0, 1, 2))
+                dxp[sl] += g * w[i, j, 0]
+            else:
+                gw[i, j] = np.einsum("nhwc,nhwo->co", xp[sl], g)
+                dxp[sl] += np.einsum("nhwo,co->nhwc", g, w[i, j])
+        return dxp[:, padding:padding + h, padding:padding + ww], gw, g.sum((0, 1, 2))
+
+    return out, vjp
+
+
+def check_conv_against_padded_taps(x, w, b, stride, padding):
+    """Output and x, w, b gradients of conv2d against ``padded_tap_conv``."""
+    tape = Tape()
+    params = [tape.watch(Tensor(a)) for a in (x, w) + (() if b is None else (b,))]
+    out = T.conv2d(*params[:2], params[2] if b is not None else None,
+                   stride=stride, padding=padding)
+    g = np.random.default_rng(1).standard_normal(out.shape).astype(x.dtype)
+    grads = backward(T.sum_(T.mul(out, Tensor(g))))
+    want, vjp = padded_tap_conv(x, w, b, stride, padding)
+    tol = 1e-10 if x.dtype == np.float64 else 1e-4
+    np.testing.assert_allclose(out.data, want, rtol=tol, atol=tol)
+    for name, t, ref in zip("xwb", params, vjp(g)):
+        assert grads[t].dtype == x.dtype
+        np.testing.assert_allclose(grads[t], ref, rtol=tol, atol=tol, err_msg=name)
+
+
+@st.composite
+def clipped_conv_cases(draw):
+    # padding up to k - 1 leaves whole output rows and columns, and whole
+    # taps, outside the input; sides down to 1 make maps smaller than k
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, k - 1))
+    lo = max(1, k - 2 * padding)
+    h, w_ = draw(st.integers(lo, lo + 5)), draw(st.integers(lo, lo + 5))
+    n = draw(st.sampled_from([1, 2]))
+    depthwise = draw(st.booleans())
+    cin = draw(st.integers(2, 4) if depthwise else st.integers(1, 3))
+    wshape = (k, k, 1, cin) if depthwise else (k, k, cin, draw(st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal(wshape[3]).astype(dtype) if draw(st.booleans()) else None
+    return (rng.standard_normal((n, h, w_, cin)).astype(dtype),
+            rng.standard_normal(wshape).astype(dtype), b, stride, padding)
+
+
+@settings(max_examples=120, deadline=None)
+@given(clipped_conv_cases())
+def test_conv2d_property_matches_padded_tap_reference(case):
+    check_conv_against_padded_taps(*case)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("side", [2, 4])
+@pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_7x7_on_maps_smaller_than_the_kernel(dtype, side, depthwise, stride):
+    # the fusion gate's 7x7 convs at padding 3 on the 2x2 and 4x4 maps of
+    # small configs: on 2x2 the 24 taps that reach no pixel are empty
+    rng = np.random.default_rng(side * 10 + stride)
+    cin = 3
+    wshape = (7, 7, 1, cin) if depthwise else (7, 7, cin, 2)
+    x = rng.standard_normal((2, side, side, cin)).astype(dtype)
+    check_conv_against_padded_taps(x, rng.standard_normal(wshape).astype(dtype),
+                                   rng.standard_normal(wshape[3]).astype(dtype),
+                                   stride, 3)
+
+
+def padded_tap_forward(x, w, b, stride, padding):
+    """The forward of conv2d before it clipped its taps: every tap runs on
+    the whole output over a zero-padded copy of x, in x's dtype."""
+    n, h, ww, cin = x.shape
+    kh, kw, _, cout = w.shape
+    depthwise = w.shape[2] != cin
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (ww + 2 * padding - kw) // stride + 1
+    wt = w[:, :, 0] if depthwise else w
+    out = np.zeros((n, ho, wo, cout), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            a = xp[:, i:i + ho * stride:stride, j:j + wo * stride:stride]
+            out += (a * wt[i, j] if depthwise
+                    else (a.reshape(-1, cin) @ wt[i, j]).reshape(n, ho, wo, cout))
+    if b is not None:
+        out += b
+    return out
+
+
+@pytest.fixture(scope="module")
+def model_conv_calls():
+    """(x shape, w shape, bias?, stride, padding) of every conv2d call of a
+    forward of micro64 at its batch size 8 and of base at batch 1."""
+    calls = set()
+
+    def record(x, w, b=None, stride=1, padding=0):
+        calls.add((x.shape, w.shape, b is not None, stride, padding))
+        return T.conv2d(x, w, b, stride=stride, padding=padding)
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (attention, blocks, fusion):
+            mp.setattr(module, "conv2d", record)
+        for name, n in (("micro64", 8), ("base", 1)):
+            cfg = load_config(os.path.join(root, "configs", f"{name}.cfg")).model
+            x = np.zeros((n, cfg.input_hw, cfg.input_hw, cfg.in_channels), np.float32)
+            build_model(cfg).forward(Tensor(x))
+    return sorted(calls)
+
+
+def test_conv2d_forward_keeps_the_bits_of_padded_taps_at_model_shapes(model_conv_calls):
+    # a tap's product with padding zeros adds exactly 0, so dropping it and
+    # running the GEMM on the clipped rows keeps every bit at these shapes.
+    # Not in general: at fewer rows (micro64 at batch 1, the 1x1 corner
+    # windows of a 7x7 on 4x4) BLAS takes a matrix-vector path whose
+    # float32 sums can round differently
+    rng = np.random.default_rng(9)
+    assert len(model_conv_calls) > 30
+    for xshape, wshape, with_bias, stride, padding in model_conv_calls:
+        x = rng.standard_normal(xshape).astype(np.float32)
+        w = rng.standard_normal(wshape).astype(np.float32)
+        b = rng.standard_normal(wshape[3]).astype(np.float32) if with_bias else None
+        got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                       stride=stride, padding=padding).data
+        want = padded_tap_forward(x, w, b, stride, padding)
+        assert np.array_equal(got, want), (xshape, wshape, stride, padding)
 
 
 def test_conv2d_rejects_bias_of_wrong_shape():

@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,11 +127,11 @@ def test_artifacts_written_and_resume_matches_straight_run(tmp_path):
                eval_every=2, out_dir=resumed_dir,
                resume_from=os.path.join(resumed_dir, "last.ckpt"))
 
-    a = open(os.path.join(straight_dir, "last.ckpt"), "rb").read()
-    b = open(os.path.join(resumed_dir, "last.ckpt"), "rb").read()
+    a = Path(straight_dir, "last.ckpt").read_bytes()
+    b = Path(resumed_dir, "last.ckpt").read_bytes()
     assert a == b
-    log_a = open(os.path.join(straight_dir, "train_log.jsonl")).read()
-    log_b = open(os.path.join(resumed_dir, "train_log.jsonl")).read()
+    log_a = Path(straight_dir, "train_log.jsonl").read_text()
+    log_b = Path(resumed_dir, "train_log.jsonl").read_text()
     assert parse_log(log_a)[-6:] == parse_log(log_b)[-6:]
 
 
@@ -154,8 +155,8 @@ def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
     run("resumed", resume_from=older)
 
     for name in ("train_log.jsonl", "last.ckpt"):
-        assert open(str(tmp_path / "straight" / name), "rb").read() == \
-            open(str(tmp_path / "resumed" / name), "rb").read(), name
+        assert (tmp_path / "straight" / name).read_bytes() == \
+            (tmp_path / "resumed" / name).read_bytes(), name
 
 
 @needs_proc_fd
@@ -342,6 +343,6 @@ def test_best_checkpoint_tracks_highest_dsc(tmp_path):
     best = read_records(os.path.join(out, "best.ckpt"))[1]
     assert float(best["state.best_dsc"]) == state.best_dsc
     log = [json.loads(l) for l in
-           open(os.path.join(out, "train_log.jsonl")).read().splitlines()]
+           Path(out, "train_log.jsonl").read_text().splitlines()]
     dscs = [r["fg_dsc"] for r in log if r["kind"] == "val"]
     assert state.best_dsc == max(d for d in dscs if d is not None)
