@@ -10,7 +10,8 @@ which is what ``full_attention_reference`` checks against.
 
 Routing is a discrete selection: gradients flow through the gathered
 keys/values and the projections, never through the top-k scores, so the
-affinity is computed off-tape.
+affinity is computed off-tape. Each layout change (region partition and
+merge, head split and merge) is one ``rearrange`` node.
 
 Routing is inspected through one hook. Inside ``recording(rec)`` every
 ``routed_attention`` call appends its routing, post-softmax weights,
@@ -31,8 +32,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .params import trunc_normal, zeros
-from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, reshape,
-                     softmax_lastdim, transpose)
+from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, rearrange, reshape,
+                     softmax_lastdim, transpose)  # noqa: F401, perfbench rebinds transpose
 
 LCE_KERNEL = 5                   # side of the depth-wise local-context conv
 
@@ -151,9 +152,8 @@ def region_partition(x: Tensor, spec: PartitionSpec) -> Tensor:
         raise ValueError(f"feature {h}x{w} does not match spec "
                          f"{spec.feat_h}x{spec.feat_w}")
     s, rh, rw = spec.s, spec.region_h, spec.region_w
-    t = reshape(x, (n, s, rh, s, rw, c))
-    t = transpose(t, (0, 1, 3, 2, 4, 5))
-    return reshape(t, (n, s * s, rh * rw, c))
+    return rearrange(x, (n, s, rh, s, rw, c), (0, 1, 3, 2, 4, 5),
+                     (n, s * s, rh * rw, c))
 
 
 def region_merge(x: Tensor, spec: PartitionSpec) -> Tensor:
@@ -163,9 +163,8 @@ def region_merge(x: Tensor, spec: PartitionSpec) -> Tensor:
     c = x.shape[-1]
     if x.shape[1] != s * s or x.shape[2] != rh * rw:
         raise ValueError(f"region layout {x.shape} does not match spec")
-    t = reshape(x, (n, s, s, rh, rw, c))
-    t = transpose(t, (0, 1, 3, 2, 4, 5))
-    return reshape(t, (n, spec.feat_h, spec.feat_w, c))
+    return rearrange(x, (n, s, s, rh, rw, c), (0, 1, 3, 2, 4, 5),
+                     (n, spec.feat_h, spec.feat_w, c))
 
 
 def project_qkv(xr: Tensor, p: RoutingAttentionParams) -> Tuple[Tensor, Tensor, Tensor]:
@@ -259,7 +258,8 @@ def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
                     p: RoutingAttentionParams) -> Tuple[Tensor, np.ndarray]:
     """Multi-head attention of region tokens over their gathered set.
 
-    Heads are contiguous channel slices. Returns the concatenated heads
+    Heads are contiguous channel slices; K is split straight into the
+    [N, R, h, dh, k*T] view its product reads. Returns the merged heads
     through the output projection, and the post-softmax weights
     [N, R, heads, T, k*T]; the local-context term is added by the caller
     in spatial layout.
@@ -269,18 +269,12 @@ def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
     h = p.heads
     dh = c // h
 
-    def split_heads(x, length):
-        x = reshape(x, (n, r, length, h, dh))
-        return transpose(x, (0, 1, 3, 2, 4))       # [N,R,h,len,dh]
-
-    qh = split_heads(q, t)
-    kh = split_heads(kg, l)
-    vh = split_heads(vg, l)
-    scores = matmul(qh, transpose(kh, (0, 1, 2, 4, 3)))
-    attn = softmax_lastdim(scores, scale=p.softmax_scale())
-    out = matmul(attn, vh)                          # [N,R,h,T,dh]
-    out = transpose(out, (0, 1, 3, 2, 4))
-    out = reshape(out, (n, r, t, c))
+    qh = rearrange(q, (n, r, t, h, dh), (0, 1, 3, 2, 4), (n, r, h, t, dh))
+    kh = rearrange(kg, (n, r, l, h, dh), (0, 1, 3, 4, 2), (n, r, h, dh, l))
+    vh = rearrange(vg, (n, r, l, h, dh), (0, 1, 3, 2, 4), (n, r, h, l, dh))
+    attn = softmax_lastdim(matmul(qh, kh), scale=p.softmax_scale())
+    out = matmul(attn, vh)
+    out = rearrange(out, (n, r, h, t, dh), (0, 1, 3, 2, 4), (n, r, t, c))
     return dense(out, p.wo, p.bo), attn.data
 
 

@@ -12,8 +12,8 @@ channels, then norm. Patch expand is a token-wise affine to factor^2
 output channels, read as one factor x factor cell of channels per
 position (row-major within the cell); factor 2 halves channels, the
 final factor 4 keeps them. The pixel shuffle that lays the cells out at
-factor times the resolution is a separate step, so a token-wise op can
-run on the cells before it.
+factor times the resolution is a separate ``rearrange``, so a token-wise
+op can run on the cells before it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .attention import PartitionSpec, RoutingAttentionParams, routed_attention
 from .params import conv_init, ones, trunc_normal, zeros
-from .tensor import Tensor, conv2d, dense, gelu, layer_norm, reshape, transpose
+from .tensor import (Tensor, conv2d, dense, gelu, layer_norm, rearrange, reshape,
+                     transpose)  # noqa: F401, perfbench rebinds transpose
 
 MLP_RATIO = 3
 
@@ -168,4 +169,4 @@ def pixel_shuffle(cells: Tensor) -> Tensor:
     with it, so one that narrows the channels (the classifier head) can run
     on the cells first and leave only its output to be copied."""
     n, h, w, f, _, c = cells.shape
-    return reshape(transpose(cells, (0, 1, 3, 2, 4, 5)), (n, h * f, w * f, c))
+    return rearrange(cells, cells.shape, (0, 1, 3, 2, 4, 5), (n, h * f, w * f, c))

@@ -26,6 +26,8 @@ is the affine normalization behind ``layer_norm`` and ``batch_norm``;
 ``_spread`` broadcasts a reduction's gradient back over the reduced axes.
 ``dense`` is one op that flattens its leading axes, so its forward and
 backward run on 2-D GEMMs; ``matmul`` serves the batched products.
+``rearrange`` is the one layout op: a reshape, transpose and reshape as
+one node, with ``reshape`` and ``transpose`` as its special cases.
 
 Layout convention throughout the package: channel-last, row-major,
 images as [N, H, W, C].
@@ -380,18 +382,21 @@ def gelu(a: Tensor) -> Tensor:
 # shape ops
 
 
+def rearrange(a: Tensor, split, perm, merge) -> Tensor:
+    """``a.reshape(split).transpose(perm).reshape(merge)`` as one node, a
+    view when ``merge`` is the permuted ``split``. Backward: the inverse."""
+    t = a.data.reshape(split).transpose(perm)
+    ash, mid, inv = a.shape, t.shape, sorted(range(t.ndim), key=perm.__getitem__)
+    return _make(t.reshape(merge), a.tape, "rearrange", (a,),
+                 lambda g: (g.reshape(mid).transpose(inv).reshape(ash),))
+
+
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    ash = a.shape
-    out = a.data.reshape(shape)
-    return _make(out, a.tape, "reshape", (a,), lambda g: (g.reshape(ash),))
+    return rearrange(a, tuple(shape), range(len(shape)), shape)
 
 
 def transpose(a: Tensor, perm) -> Tensor:
-    perm = tuple(perm)
-    inv = tuple(np.argsort(perm))
-    out = np.transpose(a.data, perm)
-    return _make(out, a.tape, "transpose", (a,), lambda g: (np.transpose(g, inv),))
+    return rearrange(a, a.shape, perm, tuple(a.shape[i] for i in perm))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:

@@ -130,3 +130,16 @@ def test_block_is_differentiable_end_to_end():
     g = grads[x]
     assert g.shape == x.shape and np.abs(g).max() > 0
     assert np.abs(grads[p.mlp_w1]).max() > 0
+
+
+def test_block_records_nine_layout_nodes():
+    # region partition, two region merges (attention output and V), the
+    # two reshapes after the K/V gathers, the q, k and v head splits and
+    # the head merge: each one node
+    rng = np.random.default_rng(50)
+    tape = Tape()
+    p = bind(BlockParams.init(8, 2, rng), tape)
+    x = tape.watch(Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32)))
+    block_forward(x, p, PartitionSpec.build(8, 8, 2), top_k=2)
+    layout = [n.op for n in tape._nodes if n.op in ("reshape", "transpose", "rearrange")]
+    assert len(layout) == 9

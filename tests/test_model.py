@@ -475,6 +475,19 @@ def test_forward_capture_returns_stage_trace():
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-5)
 
 
+def test_micro64_training_forward_records_562_tape_nodes():
+    # 237 leaves, 89 layout nodes (9 in each of the 9 blocks, and the cell
+    # reshape and the pixel shuffle of each of the 4 expands) and 236 other
+    # ops; the count does not depend on the input values
+    cfg = load_config(os.path.join(CONFIGS, "micro64.cfg")).model
+    model = build_model(cfg, seed=4)
+    x = np.random.default_rng(87).standard_normal(
+        (8, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
+    tape = Tape()
+    model.bind(tape).forward(Tensor(x), training=True)
+    assert len(tape) == 562
+
+
 def test_recording_leaves_forward_unchanged_and_traces_every_block():
     cfg = micro_config(stage_depths=(1, 2, 0, 1, 0, 2, 1))
     model = build_model(cfg, seed=5)

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -318,6 +319,67 @@ def test_backward_through_shape_ops():
     y = T.mul(T.transpose(T.reshape(a, (2, 3)), (0, 1)), Tensor(c))
     grads = backward(T.sum_(y))
     np.testing.assert_array_equal(grads[a], c.reshape(3, 2))
+
+
+def group_axes(draw, dims):
+    """``dims`` with runs of neighbouring axes merged at drawn cut points."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(dims) - 1)))) if len(dims) > 1 else []
+    bounds = [0, *cuts, len(dims)]
+    return tuple(math.prod(dims[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def rearrange_cases(draw):
+    split = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    perm = tuple(draw(st.permutations(range(len(split)))))
+    merge = group_axes(draw, tuple(split[i] for i in perm))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal(group_axes(draw, split)), split, perm, merge
+
+
+@settings(max_examples=80, deadline=None)
+@given(rearrange_cases())
+def test_rearrange_inverts_bit_exactly_and_matches_central_differences(case):
+    x, split, perm, merge = case
+    y = T.rearrange(Tensor(x), split, perm, merge)
+    want = x.reshape(split).transpose(perm).reshape(merge)
+    assert y.shape == want.shape and y.data.tobytes() == want.tobytes()
+    mid = tuple(split[i] for i in perm)
+    if merge == mid:                        # the permuted split: a view
+        assert np.shares_memory(y.data, x)
+    back = T.rearrange(y, mid, np.argsort(perm), x.shape)
+    assert back.shape == x.shape and back.data.tobytes() == x.tobytes()
+    r = np.random.default_rng(1).standard_normal(merge)
+    # linear in x, so a unit step has no truncation error
+    report = grad_check(
+        lambda p: T.sum_(T.mul(T.rearrange(p["x"], split, perm, merge), Tensor(r))),
+        {"x": x}, step=1.0, tol=1e-6, max_coords_per_param=16)
+    assert report.passed, report.summary()
+
+
+@st.composite
+def layout_cases(draw):
+    """An array that is often not contiguous, a shape of the same size
+    (its axes cut into factors, then neighbours merged) and an axis order."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(dims).transpose(draw(st.permutations(range(len(dims)))))
+    factors = []
+    for d in x.shape:
+        a = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+        factors += [a, d // a]
+    perm = tuple(draw(st.permutations(range(x.ndim))))
+    return x, group_axes(draw, tuple(factors)), perm
+
+
+@settings(max_examples=120, deadline=None)
+@given(layout_cases())
+def test_reshape_and_transpose_equal_numpy_and_are_views_where_numpy_is(case):
+    x, shape, perm = case
+    for got, want in ((T.reshape(Tensor(x), shape), x.reshape(shape)),
+                      (T.transpose(Tensor(x), perm), x.transpose(perm))):
+        assert got.shape == want.shape and got.data.tobytes() == want.tobytes()
+        assert np.shares_memory(got.data, x) == np.shares_memory(want, x)
 
 
 def test_backward_concat_splits():
