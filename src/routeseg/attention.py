@@ -13,6 +13,12 @@ keys/values and the projections, never through the top-k scores, so the
 affinity is computed off-tape. Each layout change (region partition and
 merge, head split and merge) is one ``rearrange`` node.
 
+The routed core, the K/V gather and token attention through the output
+projection, is one ``recompute`` node. The tape keeps q, k, v and the
+routing index instead of the gathered K/V copies and the probabilities,
+which were the largest activations of a training forward; backward
+gathers and attends again.
+
 Routing is inspected through one hook. Inside ``recording(rec)`` every
 ``routed_attention`` call appends its routing, post-softmax weights,
 partition and top_k to ``rec.traces``, in call order; ``dump-attention``
@@ -32,8 +38,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .params import trunc_normal, zeros
-from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, rearrange, reshape,
-                     softmax_lastdim, transpose)  # noqa: F401, perfbench rebinds transpose
+from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, rearrange, recompute,
+                     reshape, softmax_lastdim, transpose)  # noqa: F401, perfbench rebinds transpose
 
 LCE_KERNEL = 5                   # side of the depth-wise local-context conv
 
@@ -254,28 +260,28 @@ def gather_kv(k: Tensor, v: Tensor, index: np.ndarray) -> Tuple[Tensor, Tensor]:
     return kg, vg
 
 
-def token_attention(q: Tensor, kg: Tensor, vg: Tensor,
-                    p: RoutingAttentionParams) -> Tuple[Tensor, np.ndarray]:
+def token_attention(q: Tensor, kg: Tensor, vg: Tensor, wo: Tensor, bo: Tensor,
+                    heads: int, scale: float) -> Tuple[Tensor, np.ndarray]:
     """Multi-head attention of region tokens over their gathered set.
 
     Heads are contiguous channel slices; K is split straight into the
     [N, R, h, dh, k*T] view its product reads. Returns the merged heads
-    through the output projection, and the post-softmax weights
+    through the output projection (wo, bo), and the post-softmax weights
     [N, R, heads, T, k*T]; the local-context term is added by the caller
     in spatial layout.
     """
     n, r, t, c = q.shape
     l = kg.shape[2]
-    h = p.heads
+    h = heads
     dh = c // h
 
     qh = rearrange(q, (n, r, t, h, dh), (0, 1, 3, 2, 4), (n, r, h, t, dh))
     kh = rearrange(kg, (n, r, l, h, dh), (0, 1, 3, 4, 2), (n, r, h, dh, l))
     vh = rearrange(vg, (n, r, l, h, dh), (0, 1, 3, 2, 4), (n, r, h, l, dh))
-    attn = softmax_lastdim(matmul(qh, kh), scale=p.softmax_scale())
+    attn = softmax_lastdim(matmul(qh, kh), scale=scale)
     out = matmul(attn, vh)
     out = rearrange(out, (n, r, h, t, dh), (0, 1, 3, 2, 4), (n, r, t, c))
-    return dense(out, p.wo, p.bo), attn.data
+    return dense(out, wo, bo), attn.data
 
 
 def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
@@ -285,14 +291,27 @@ def local_context(v_spatial: Tensor, p: RoutingAttentionParams) -> Tensor:
 
 def routed_attention(x: Tensor, p: RoutingAttentionParams, spec: PartitionSpec,
                      top_k: int) -> Tensor:
-    """partition -> project -> route -> gather -> attend -> merge (+LCE)."""
+    """partition -> project -> route -> gather -> attend -> merge (+LCE).
+
+    Gather and attend run as one ``recompute`` node.
+    """
     xr = region_partition(x, spec)
     q, k, v = project_qkv(xr, p)
     routing = route_regions(q, k, spec, top_k)
-    kg, vg = gather_kv(k, v, routing.index)
-    att, weights = token_attention(q, kg, vg, p)
+    # the core closes over arrays and numbers only, never over p: a
+    # tape-bound Tensor in a closure would make the tape a reference cycle
+    index, heads, scale, weights = routing.index, p.heads, p.softmax_scale(), []
+
+    def core(q, k, v, wo, bo):
+        att, w = token_attention(q, *gather_kv(k, v, index), wo, bo, heads, scale)
+        weights.append(w)
+        return att
+
+    att = recompute(core, q, k, v, p.wo, p.bo)
+    # pop the forward call's weights, so the tape does not keep them
+    forward_weights = weights.pop()
     if _RECORD is not None:
-        _RECORD.traces.append(AttentionTrace(routing, weights, spec, top_k))
+        _RECORD.traces.append(AttentionTrace(routing, forward_weights, spec, top_k))
     out = region_merge(att, spec)
     return out + local_context(region_merge(v, spec), p)
 

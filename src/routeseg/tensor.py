@@ -28,6 +28,9 @@ is the affine normalization behind ``layer_norm`` and ``batch_norm``;
 backward run on 2-D GEMMs; ``matmul`` serves the batched products.
 ``rearrange`` is the one layout op: a reshape, transpose and reshape as
 one node, with ``reshape`` and ``transpose`` as its special cases.
+``recompute`` records a whole function of tensors as one node that keeps
+only its inputs and runs the function again, on a tape of its own, in
+backward.
 
 Layout convention throughout the package: channel-last, row-major,
 images as [N, H, W, C].
@@ -217,12 +220,18 @@ def backward(loss: Tensor) -> Grads:
         raise ValueError("loss is not bound to a tape")
     if loss.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+    return Grads(tape, _sweep(tape, loss.node, np.ones((), dtype=loss.dtype)))
+
+
+def _sweep(tape: Tape, start: int, seed: np.ndarray) -> dict:
+    """The reverse sweep behind ``backward``, from node ``start`` seeded with
+    gradient ``seed``; returns the table of leaf gradients."""
     if tape._swept:
         raise ValueError("tape was already swept by backward; record a new one")
     tape._swept = True
     nodes = tape._nodes
-    table: dict[int, np.ndarray] = {loss.node: np.ones((), dtype=loss.dtype)}
-    for nid in range(loss.node, -1, -1):
+    table: dict[int, np.ndarray] = {start: seed}
+    for nid in range(start, -1, -1):
         node = nodes[nid]
         back = node.backward
         if back is None:
@@ -239,7 +248,36 @@ def backward(loss: Tensor) -> Grads:
                 continue
             acc = table.get(pid)
             table[pid] = pg if acc is None else acc + pg
-    return Grads(tape, table)
+    return table
+
+
+def recompute(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` as one node whose closure keeps only the inputs' arrays.
+
+    The forward runs ``fn`` on constant copies of the inputs, so the ops
+    inside it record nothing and their intermediates die with the call. The
+    backward runs ``fn`` again on a fresh tape over watched copies of the
+    bound inputs and sweeps that tape from the incoming gradient: memory
+    traded for a second forward of ``fn``. ``fn`` must be deterministic and
+    must hold no tape-bound Tensor (see conv2d); its second forward then
+    repeats the first bit for bit, and the gradients are those of ``fn``
+    recorded straight on the tape. One exception: ``fn``'s gradients into an
+    input are summed before the gradients from the input's later uses are
+    added, so an input that ``fn`` uses more than once and the graph uses
+    again after ``fn`` can get other rounding.
+    """
+    tape = _operands("recompute", *inputs)
+    arrays = tuple(t.data for t in inputs)
+    out = fn(*(Tensor(a) for a in arrays))
+    bound = tuple(t.tape is not None for t in inputs)
+
+    def back(g):
+        sub = Tape()
+        xs = [sub.watch(Tensor(a)) if b else Tensor(a) for a, b in zip(arrays, bound)]
+        table = _sweep(sub, fn(*xs).node, g)
+        return tuple(table.get(x.node) for x in xs)
+
+    return _make(out.data, tape, "recompute", inputs, back)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +360,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp. Pass-through gradient strictly inside [lo, hi], zero outside."""
     ad = a.data
     out = np.clip(ad, lo, hi)
-    inside = ((ad > lo) & (ad < hi)).astype(ad.dtype)
+    inside = (ad > lo) & (ad < hi)
 
     def back(g):
         return (g * inside,)
@@ -331,8 +369,9 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    # a bool mask, a quarter of a float32 one; as a factor it is exactly 0 or 1
     ad = a.data
-    mask = (ad > 0).astype(ad.dtype)
+    mask = ad > 0
     return _make(ad * mask, a.tape, "relu", (a,), lambda g: (g * mask,))
 
 
@@ -352,25 +391,30 @@ def sigmoid(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
-
-    The forward holds two buffers of x's size, th and the output, and fills
-    them in place; each step is the same IEEE operation, in the same order,
-    as the textbook expression, so the bits are those of that expression.
-    th = tanh(c (x + 0.044715 x^3)) is kept for the backward pass.
-    """
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + 0.044715 x^3)) in one buffer of x's size, filled in place."""
     th = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
     th *= x
     th *= 0.044715
     th += x
     th *= _GELU_C
-    np.tanh(th, out=th)
+    return np.tanh(th, out=th)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    th = tanh(c (x + 0.044715 x^3)) is computed in place in one buffer; each
+    step is the same IEEE operation, in the same order, as the textbook
+    expression, so the bits are those of that expression. Only x is kept
+    for the backward pass, which computes th again by the same steps.
+    """
+    x = a.data
     out = 0.5 * x
-    out *= 1.0 + th
+    out *= 1.0 + _gelu_tanh(x)
 
     def back(g):
+        th = _gelu_tanh(x)
         du = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
         return (g * d,)

@@ -6,7 +6,9 @@ from routeseg.attention import (AttentionTrace, PartitionSpec, RoutingAttentionP
                                 full_attention_reference, gather_kv, min_cost_over_s,
                                 recording, region_merge, region_partition,
                                 route_regions, routed_attention, token_attention)
-from routeseg.tensor import Tensor
+from routeseg.gradcheck import grad_check
+from routeseg.params import named_arrays, substitute, walk_tensors
+from routeseg.tensor import Tape, Tensor, mul, sum_
 
 
 def make_params(dim, heads, seed, dtype=np.float64, **kw):
@@ -179,7 +181,7 @@ def test_attention_weights_sum_to_one():
     q = Tensor(rng.standard_normal((2, 4, 3, 6)))
     kg = Tensor(rng.standard_normal((2, 4, 9, 6)))
     vg = Tensor(rng.standard_normal((2, 4, 9, 6)))
-    _, weights = token_attention(q, kg, vg, p)
+    _, weights = token_attention(q, kg, vg, p.wo, p.bo, p.heads, p.softmax_scale())
     np.testing.assert_allclose(weights.sum(axis=-1),
                                np.ones(weights.shape[:-1]), atol=1e-6)
 
@@ -195,7 +197,7 @@ def test_identical_values_pass_through_attention():
     q = Tensor(rng.standard_normal((1, 2, 3, 4)))
     kg = Tensor(rng.standard_normal((1, 2, 6, 4)))
     vg = Tensor(np.broadcast_to(v, (1, 2, 6, 4)).copy())
-    out, _ = token_attention(q, kg, vg, p)
+    out, _ = token_attention(q, kg, vg, p.wo, p.bo, p.heads, p.softmax_scale())
     np.testing.assert_allclose(out.data, np.broadcast_to(v, out.shape), atol=1e-12)
 
 
@@ -290,6 +292,35 @@ def test_capture_returns_trace():
     assert trace.weights.shape == (1, 4, 2, 4, 12)   # [N, R, heads, T, k*T]
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-12)
     assert out.shape == x.shape
+
+
+@pytest.mark.parametrize("top_k", [1, 4])
+def test_routed_attention_matches_central_differences_through_recompute(top_k):
+    # float64, the selection pinned as the tape holds it; top_k 4 = S * S
+    # gathers every region
+    rng = np.random.default_rng(34)
+    p = make_params(4, 2, 34)
+    for _, t in walk_tensors(p):
+        t.data[...] = rng.standard_normal(t.shape) * 0.5
+    spec = PartitionSpec.build(4, 4, 2)
+    g = Tensor(rng.standard_normal((2, 4, 4, 4)))
+    routing = RoutingRecord()
+
+    def loss(v):
+        with recording(routing):
+            routing.begin_pass()
+            y = routed_attention(v["x"], substitute(p, v), spec, top_k)
+        return sum_(mul(y, g))
+
+    values = {"x": rng.standard_normal((2, 4, 4, 4))}
+    values.update(named_arrays(p))
+    tape = Tape()
+    loss({"x": tape.watch(Tensor(values["x"]))})
+    assert [n.op for n in tape._nodes].count("recompute") == 1
+
+    report = grad_check(loss, values, op="routed_attention")
+    assert report.passed, report.summary()
+    assert report.coords_checked == sum(a.size for a in values.values())
 
 
 # ---------------------------------------------------------------------------

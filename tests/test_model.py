@@ -475,17 +475,41 @@ def test_forward_capture_returns_stage_trace():
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-5)
 
 
-def test_micro64_training_forward_records_562_tape_nodes():
-    # 237 leaves, 89 layout nodes (9 in each of the 9 blocks, and the cell
-    # reshape and the pixel shuffle of each of the 4 expands) and 236 other
-    # ops; the count does not depend on the input values
+def test_micro64_training_forward_records_463_tape_nodes():
+    # 237 leaves, 35 layout nodes (3 in each of the 9 blocks, and the cell
+    # reshape and the pixel shuffle of each of the 4 expands) and 191 other
+    # ops; the count does not depend on the input values. Each block's
+    # routed core (two gathers and their reshapes, three head splits, two
+    # products, softmax, head merge and output projection: 12 nodes) is
+    # one recompute node, whose ops record on its own tape in backward
     cfg = load_config(os.path.join(CONFIGS, "micro64.cfg")).model
     model = build_model(cfg, seed=4)
     x = np.random.default_rng(87).standard_normal(
         (8, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
     tape = Tape()
     model.bind(tape).forward(Tensor(x), training=True)
-    assert len(tape) == 562
+    assert len(tape) == 463
+
+
+def test_micro64_training_forward_holds_under_18_mib():
+    # what a taped micro64 bs8 training forward leaves allocated: the tape's
+    # activations and the logits. It was 21.9 MiB while each block's tape
+    # kept the gathered K/V copies and the attention probabilities and gelu
+    # kept its tanh, and 14.8 MiB with the routed core recomputed in
+    # backward and gelu keeping only its input
+    cfg = load_config(os.path.join(CONFIGS, "micro64.cfg")).model
+    model = build_model(cfg, seed=4)
+    x = np.random.default_rng(87).standard_normal(
+        (8, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        logits = model.bind(tape).forward(Tensor(x), training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape[0] == 8
+    assert held < 18 * 2 ** 20, held / 2 ** 20
 
 
 def test_recording_leaves_forward_unchanged_and_traces_every_block():

@@ -399,6 +399,49 @@ def test_backward_mean_scales_by_count():
     np.testing.assert_array_equal(grads[a], np.full((2, 4), 1.0 / 8.0))
 
 
+def segment(x, w, b):
+    # a product, a nonlinearity and a fan-out of x inside the segment
+    return T.mul(T.softmax_lastdim(T.gelu(T.dense(x, w, b))), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("constant_bias", [False, True])
+def test_recompute_equals_the_segment_recorded_straight(dtype, constant_bias):
+    # x is an op output that the segment uses twice, w a parameter that the
+    # graph also uses after the segment, b a parameter or a constant that no
+    # gradient reaches
+    rng = np.random.default_rng(60)
+    xv, wv, bv, gv = (rng.standard_normal(shape).astype(dtype)
+                      for shape in [(2, 3, 4), (4, 4), (4,), (2, 3, 4)])
+
+    def run(through_recompute):
+        tape = Tape()
+        x0, w = tape.watch(Tensor(xv)), tape.watch(Tensor(wv))
+        b = Tensor(bv) if constant_bias else tape.watch(Tensor(bv))
+        x = T.sigmoid(x0)
+        y = T.recompute(segment, x, w, b) if through_recompute else segment(x, w, b)
+        grads = backward(T.sum_(T.mul(T.add(y, T.dense(x0, w)), Tensor(gv))))
+        leaves = (x0, w) if constant_bias else (x0, w, b)
+        return y.data, [grads[t] for t in leaves], len(tape)
+
+    y, grads, nodes = run(True)
+    y_straight, grads_straight, nodes_straight = run(False)
+    assert y.dtype == dtype
+    assert np.array_equal(y, y_straight)
+    for g, g_straight in zip(grads, grads_straight):
+        assert g.dtype == dtype and np.array_equal(g, g_straight)
+    # the segment's 4 ops are one node
+    assert nodes == nodes_straight - 3
+
+
+def test_recompute_without_a_tape_is_the_plain_forward():
+    rng = np.random.default_rng(61)
+    x, w, b = (Tensor(rng.standard_normal(shape)) for shape in [(2, 3, 4), (4, 4), (4,)])
+    y = T.recompute(segment, x, w, b)
+    assert y.tape is None
+    assert np.array_equal(y.data, segment(x, w, b).data)
+
+
 def test_clip_gradient_zero_at_and_outside_bounds():
     tape = Tape()
     a = leaf(tape, [-2.0, -1.0, 0.0, 1.0, 2.0])
