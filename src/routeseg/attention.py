@@ -14,14 +14,14 @@ affinity is computed off-tape. Each layout change (region partition and
 merge, head split and merge) is one ``rearrange`` node.
 
 The routed core, the K/V gather and token attention through the output
-projection, is one ``recompute`` node. The tape keeps q, k, v and the
-routing index instead of the gathered K/V copies and the probabilities,
-which were the largest activations of a training forward; backward
-gathers and attends again.
+projection, is one ``recompute`` node. The tape keeps q, k, the spatial
+v that local context also reads, and the routing index instead of the
+gathered K/V copies and the probabilities, which were the largest
+activations of a training forward; backward gathers and attends again.
 
 Routing is inspected through one hook. Inside ``recording(rec)`` every
-``routed_attention`` call appends its routing, post-softmax weights,
-partition and top_k to ``rec.traces``, in call order; ``dump-attention``
+``routed_attention`` call appends its routing, post-softmax weights and
+partition to ``rec.traces``, in call order; ``dump-attention``
 reads one block's trace from there. The same record pins routing: after
 ``rec.begin_pass()`` has seen a recorded pass, each later pass replays
 the recorded selections, which is how gradcheck holds the discrete
@@ -53,7 +53,6 @@ class PartitionSpec:
     s: int
     region_h: int
     region_w: int
-    tokens_per_region: int
 
     @classmethod
     def build(cls, feat_h: int, feat_w: int, s: int) -> "PartitionSpec":
@@ -62,8 +61,7 @@ class PartitionSpec:
         if feat_h % s or feat_w % s:
             raise ValueError(
                 f"feature {feat_h}x{feat_w} not divisible into {s}x{s} regions")
-        rh, rw = feat_h // s, feat_w // s
-        return cls(feat_h, feat_w, s, rh, rw, rh * rw)
+        return cls(feat_h, feat_w, s, feat_h // s, feat_w // s)
 
     @property
     def num_regions(self) -> int:
@@ -85,10 +83,8 @@ def effective_s(side: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class RoutingResult:
-    """Off-tape routing artifacts: region means, affinity, and selection."""
+    """Off-tape routing artifacts: region affinity and selection."""
 
-    region_queries: np.ndarray   # [N, R, C]
-    region_keys: np.ndarray      # [N, R, C]
     adjacency: np.ndarray        # [N, R, R]
     index: np.ndarray            # [N, R, k] int64
 
@@ -100,7 +96,6 @@ class AttentionTrace:
     routing: RoutingResult
     weights: np.ndarray          # [N, R, heads, T, k*T] post-softmax
     spec: PartitionSpec
-    top_k: int
 
 
 @dataclass
@@ -173,13 +168,6 @@ def region_merge(x: Tensor, spec: PartitionSpec) -> Tensor:
                      (n, spec.feat_h, spec.feat_w, c))
 
 
-def project_qkv(xr: Tensor, p: RoutingAttentionParams) -> Tuple[Tensor, Tensor, Tensor]:
-    q = dense(xr, p.wq, p.bq)
-    k = dense(xr, p.wk, p.bk)
-    v = dense(xr, p.wv, p.bv)
-    return q, k, v
-
-
 class RoutingRecord:
     """Routed attention calls made inside :func:`recording`.
 
@@ -241,14 +229,12 @@ def route_regions(q: Tensor, k: Tensor, spec: PartitionSpec,
     r = spec.num_regions
     if not 1 <= top_k <= r:
         raise ValueError(f"top_k {top_k} outside [1, {r}]")
-    qr = q.data.mean(axis=2)
-    kr = k.data.mean(axis=2)
-    adj = np.matmul(qr, np.swapaxes(kr, -1, -2))
+    adj = np.matmul(q.data.mean(axis=2), np.swapaxes(k.data.mean(axis=2), -1, -2))
     order = np.argsort(-adj, axis=-1, kind="stable")
     index = order[:, :, :top_k].astype(np.int64)
     if _RECORD is not None:
         index = _RECORD.select(index)
-    return RoutingResult(qr, kr, adj, index)
+    return RoutingResult(adj, index)
 
 
 def gather_kv(k: Tensor, v: Tensor, index: np.ndarray) -> Tuple[Tensor, Tensor]:
@@ -293,27 +279,27 @@ def routed_attention(x: Tensor, p: RoutingAttentionParams, spec: PartitionSpec,
                      top_k: int) -> Tensor:
     """partition -> project -> route -> gather -> attend -> merge (+LCE).
 
-    Gather and attend run as one ``recompute`` node.
+    Gather and attend run as one ``recompute`` node. It takes V in the
+    spatial layout that local context reads and partitions it itself, so
+    the tape keeps one copy of V.
     """
     xr = region_partition(x, spec)
-    q, k, v = project_qkv(xr, p)
+    q, k = dense(xr, p.wq, p.bq), dense(xr, p.wk, p.bk)
+    v = region_merge(dense(xr, p.wv, p.bv), spec)
     routing = route_regions(q, k, spec, top_k)
-    # the core closes over arrays and numbers only, never over p: a
-    # tape-bound Tensor in a closure would make the tape a reference cycle
-    index, heads, scale, weights = routing.index, p.heads, p.softmax_scale(), []
+    # the core closes over plain data (arrays, numbers, routing, spec), never
+    # over p: a tape-bound Tensor in a closure would make the tape a cycle
+    index, heads, scale = routing.index, p.heads, p.softmax_scale()
 
     def core(q, k, v, wo, bo):
-        att, w = token_attention(q, *gather_kv(k, v, index), wo, bo, heads, scale)
-        weights.append(w)
+        kg, vg = gather_kv(k, region_partition(v, spec), index)
+        att, weights = token_attention(q, kg, vg, wo, bo, heads, scale)
+        # only the forward call records: the backward replay runs on a tape
+        if _RECORD is not None and att.tape is None:
+            _RECORD.traces.append(AttentionTrace(routing, weights, spec))
         return att
 
-    att = recompute(core, q, k, v, p.wo, p.bo)
-    # pop the forward call's weights, so the tape does not keep them
-    forward_weights = weights.pop()
-    if _RECORD is not None:
-        _RECORD.traces.append(AttentionTrace(routing, forward_weights, spec, top_k))
-    out = region_merge(att, spec)
-    return out + local_context(region_merge(v, spec), p)
+    return region_merge(recompute(core, q, k, v, p.wo, p.bo), spec) + local_context(v, p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ op can run on the cells before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

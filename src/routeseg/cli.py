@@ -27,7 +27,6 @@ from .data import (DataError, SegSample, kfold_splits, load_dataset,
                    write_pgm)
 from .model import (CheckpointError, ConfigError, Model, build_model,
                     count_flops, count_params, load_into_model, read_records)
-from .optim import OptimConfigError
 from .tensor import Tensor, softmax_lastdim
 from .train import NumericAbort, evaluate, train_loop
 
@@ -72,6 +71,12 @@ def _gather_samples(run: RunConfig) -> List[SegSample]:
     if not run.data_root:
         raise DataError("no data_root configured and synthetic = false")
     return _load_samples(run.data_root, run)
+
+
+def _at_least_one(**options: int):
+    for name, value in options.items():
+        if value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _check_extents(image: np.ndarray, hw: int, what: str):
@@ -134,6 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _at_least_one(batch_size=args.batch_size)
     model, run = _load_checkpoint_model(args.checkpoint)
     root = args.data or run.data_root
     if not root:
@@ -254,8 +260,7 @@ def bench_scaling_table(sides: List[int], top_k: int, channels: int) -> dict:
                             [r["bra_macs"] for r in rows])
     full_exp = _fit_exponent([r["hw"] for r in rows],
                              [r["full_macs"] for r in rows])
-    return {"rows": rows, "bra_exponent": bra_exp, "full_exponent": full_exp,
-            "top_k": top_k, "channels": channels}
+    return {"rows": rows, "bra_exponent": bra_exp, "full_exponent": full_exp}
 
 
 def cmd_bench_scaling(args) -> int:
@@ -264,7 +269,11 @@ def cmd_bench_scaling(args) -> int:
         raise ConfigError(f"need at least 3 distinct resolutions, got {sides}")
     if any(s < 2 for s in sides):
         raise ConfigError(f"feature sides must be >= 2, got {sides}")
-    table = bench_scaling_table(sides, args.top_k, args.channels)
+    _at_least_one(top_k=args.top_k, channels=args.channels)
+    try:
+        table = bench_scaling_table(sides, args.top_k, args.channels)
+    except ValueError as e:   # a top_k that no partition of some side holds
+        raise ConfigError(str(e)) from None
     lines = [f"routed attention cost scan (top_k={args.top_k}, "
              f"c={args.channels})",
              "side        hw   best_s        bra_macs       full_macs"]
@@ -455,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, OptimConfigError) as e:
+    except ConfigError as e:
         print(f"routeseg: config error: {e}", file=sys.stderr)
         return 2
     except (DataError, CheckpointError) as e:

@@ -382,7 +382,7 @@ class AugmentConfig:
     cutout_lo: Optional[int] = None      # default hw // 16
     cutout_hi: Optional[int] = None      # default hw // 4
 
-    def validate(self) -> "AugmentConfig":
+    def validate(self):
         for name in ("p_hflip", "p_vflip", "p_rot", "p_cutout"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -391,7 +391,6 @@ class AugmentConfig:
             side = getattr(self, name)
             if side is not None and side < 1:
                 raise DataError(f"{name} must be >= 1, got {side}")
-        return self
 
     def cutout_bounds(self, side: int) -> Tuple[int, int]:
         """Effective (lo, hi) cutout sides on an image whose short side is ``side``."""
@@ -427,11 +426,14 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: SplitMix64) -> SegSample
 # splits
 
 
-def make_splits(ids: Sequence[str], fractions: Sequence[float], seed: int,
-                names: Sequence[str] = ("train", "val", "test")) -> Dict[str, str]:
+SPLIT_NAMES = ("train", "val", "test")
+
+
+def make_splits(ids: Sequence[str], fractions: Sequence[float],
+                seed: int) -> Dict[str, str]:
     """Seeded shuffle, then largest-remainder apportionment of counts."""
-    if len(fractions) != len(names):
-        raise DataError(f"{len(fractions)} fractions for {len(names)} split names")
+    if len(fractions) != len(SPLIT_NAMES):
+        raise DataError(f"{len(fractions)} fractions for {len(SPLIT_NAMES)} split names")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must be nonnegative and sum to 1: {fractions}")
     order = list(ids)
@@ -445,7 +447,7 @@ def make_splits(ids: Sequence[str], fractions: Sequence[float], seed: int,
         counts[leftovers[i]] += 1
     out: Dict[str, str] = {}
     pos = 0
-    for name, count in zip(names, counts):
+    for name, count in zip(SPLIT_NAMES, counts):
         for sid in order[pos:pos + count]:
             out[sid] = name
         pos += count

@@ -1,15 +1,13 @@
 """Segmentation losses on soft probabilities.
 
 Dice uses squared-sum denominators and a small eps on both the numerator
-and denominator of each class ratio; class weights default to uniform
-1/K. Cross entropy is the per-class binary form evaluated on softmax
+and denominator of each class ratio; each class weighs 1/K. Cross
+entropy is the per-class binary form evaluated on softmax
 probabilities, averaged over classes and pixels. The training objective
 mixes them as lam * dice + (1 - lam) * ce with lam = 0.6.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -32,19 +30,14 @@ def _check_probs_target(probs: Tensor, target: Tensor):
         raise ValueError(f"want [..., K] probability maps, got {probs.shape}")
 
 
-def dice_loss(probs: Tensor, target: Tensor, weights: Optional[np.ndarray] = None,
-              eps: float = 1e-5) -> Tensor:
-    """1 - sum_k w_k * (2 * sum(p*g) + eps) / (sum(p^2) + sum(g^2) + eps).
+def dice_loss(probs: Tensor, target: Tensor, eps: float = 1e-5) -> Tensor:
+    """1 - sum_k (1/K) * (2 * sum(p*g) + eps) / (sum(p^2) + sum(g^2) + eps).
 
     Sums run over every pixel of the batch, per class.
     """
     _check_probs_target(probs, target)
     k = probs.shape[-1]
-    if weights is None:
-        weights = np.full((k,), 1.0 / k)
-    weights = np.asarray(weights, dtype=probs.dtype)
-    if weights.shape != (k,):
-        raise ValueError(f"want {k} class weights, got {weights.shape}")
+    weights = np.full((k,), 1.0 / k, dtype=probs.dtype)
     axes = tuple(range(probs.ndim - 1))
     inter = sum_(mul(probs, target), axis=axes)          # [K]
     psq = sum_(mul(probs, probs), axis=axes)
@@ -53,22 +46,23 @@ def dice_loss(probs: Tensor, target: Tensor, weights: Optional[np.ndarray] = Non
     return sub(1.0, sum_(mul(ratio, Tensor(weights))))
 
 
-def cross_entropy_loss(probs: Tensor, target: Tensor,
-                       clamp: float = 1e-7) -> Tensor:
+CE_CLAMP = 1e-7                  # probabilities are clipped to [CE_CLAMP, 1 - CE_CLAMP]
+
+
+def cross_entropy_loss(probs: Tensor, target: Tensor) -> Tensor:
     """Binary-form CE per class on soft probabilities, mean over all axes."""
     _check_probs_target(probs, target)
-    p = clip(probs, clamp, 1.0 - clamp)
+    p = clip(probs, CE_CLAMP, 1.0 - CE_CLAMP)
     pos = mul(target, log(p))
     negterm = mul(sub(1.0, target), log(sub(1.0, p)))
     return neg(mean_(add(pos, negterm)))
 
 
-def hybrid_loss(logits: Tensor, target: Tensor, lam: float = 0.6,
-                weights: Optional[np.ndarray] = None, eps: float = 1e-5) -> Tensor:
+def hybrid_loss(logits: Tensor, target: Tensor, lam: float = 0.6) -> Tensor:
     """lam * dice + (1 - lam) * ce on softmaxed logits."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must sit in [0, 1], got {lam}")
     probs = softmax_lastdim(logits)
-    d = dice_loss(probs, target, weights=weights, eps=eps)
+    d = dice_loss(probs, target)
     c = cross_entropy_loss(probs, target)
     return add(mul(d, lam), mul(c, 1.0 - lam))

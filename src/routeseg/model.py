@@ -22,6 +22,7 @@ region. top_k is clamped per stage to the available region count.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct as structmod
@@ -64,7 +65,7 @@ class ModelConfig:
     scale_mode: str = "per_head"
     qkv_bias: bool = True
 
-    def validate(self) -> "ModelConfig":
+    def validate(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.in_channels < 1:
@@ -90,7 +91,6 @@ class ModelConfig:
             raise ConfigError(f"skip_mask wants 3 entries, got {self.skip_mask}")
         if self.scale_mode not in ("per_head", "model_dim"):
             raise ConfigError(f"unknown scale_mode {self.scale_mode!r}")
-        return self
 
     def resolved_top_k(self) -> Tuple[int, ...]:
         if self.top_k_schedule is not None:
@@ -133,11 +133,16 @@ class ModelParams:
 class Model:
     cfg: ModelConfig
     params: ModelParams
-    specs: List[PartitionSpec]
-    top_k: List[int]
+
+    def __post_init__(self):
+        # (partition, top_k) per stage, fixed by the config
+        self.partitions = self.cfg.partitions()
 
     def bind(self, tape: Tape) -> "Model":
-        return Model(self.cfg, bind(self.params, tape), self.specs, self.top_k)
+        """This model with every parameter watched on ``tape``."""
+        bound = copy.copy(self)
+        bound.params = bind(self.params, tape)
+        return bound
 
     def records(self) -> Dict[str, np.ndarray]:
         """Parameters then buffers, dotted names, insertion-ordered."""
@@ -169,7 +174,7 @@ class Model:
                 elif fuse is not None:
                     h = plain_fuse(skips[6 - i], h, fuse)
             for blk in blocks:
-                h = block_forward(h, blk, self.specs[i], self.top_k[i])
+                h = block_forward(h, blk, *self.partitions[i])
             if i < 3:
                 skips.append(h)
                 h = patch_merge(h, p.merges[i])
@@ -182,7 +187,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     cfg.validate()
     rng = np.random.default_rng(seed)
     geometry = cfg.stage_geometry()
-    specs, top_k = map(list, zip(*cfg.partitions()))
 
     stages = []
     for (_, dim), depth in zip(geometry, cfg.stage_depths):
@@ -210,7 +214,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         head_w=Tensor(trunc_normal(rng, (c, cfg.num_classes), dtype=dtype)),
         head_b=Tensor(zeros((cfg.num_classes,), dtype)),
     )
-    return Model(cfg, params, specs, top_k)
+    return Model(cfg, params)
 
 
 # ---------------------------------------------------------------------------

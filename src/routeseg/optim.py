@@ -18,11 +18,8 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from .model import ConfigError
 from .tensor import Tensor
-
-
-class OptimConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,33 +42,33 @@ class OptimConfig:
         if kind == "adam":
             return OptimConfig(kind="adam", lr=5e-4, weight_decay=0.0,
                                schedule="cosine", epochs=200, batch_size=16)
-        raise OptimConfigError(f"unknown optimizer preset {kind!r}")
+        raise ConfigError(f"unknown optimizer preset {kind!r}")
 
     def validate(self) -> "OptimConfig":
         if self.kind not in ("sgd", "adam"):
-            raise OptimConfigError(f"unknown optimizer kind {self.kind!r}")
+            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in ("constant", "cosine"):
-            raise OptimConfigError(f"unknown schedule {self.schedule!r}")
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.lr <= 0:
-            raise OptimConfigError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise OptimConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
-            raise OptimConfigError(f"negative weight_decay {self.weight_decay}")
+            raise ConfigError(f"negative weight_decay {self.weight_decay}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise OptimConfigError(f"betas must be in [0, 1), got "
+            raise ConfigError(f"betas must be in [0, 1), got "
                                    f"({self.beta1}, {self.beta2})")
         if self.eps <= 0:
-            raise OptimConfigError(f"eps must be positive, got {self.eps}")
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise OptimConfigError(
+            raise ConfigError(
                 f"epochs/batch_size must be >= 1, got {self.epochs}/{self.batch_size}")
         return self
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     if total_steps < 1 or not 0 <= step <= total_steps:
-        raise OptimConfigError(f"step {step} outside [0, {total_steps}]")
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
     return lr0 * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
 
 
@@ -84,7 +81,7 @@ class Optimizer:
         seen = set()
         for name, _ in self.named:
             if name in seen:
-                raise OptimConfigError(f"duplicate parameter name {name!r}")
+                raise ValueError(f"duplicate parameter name {name!r}")
             seen.add(name)
         self.t = 0
         self.slots: Dict[str, Dict[str, np.ndarray]] = {}
@@ -101,9 +98,9 @@ class Optimizer:
         for name, p in self.named:
             g = grads_by_name.get(name)
             if g is None:
-                raise OptimConfigError(f"no gradient supplied for {name}")
+                raise ValueError(f"no gradient supplied for {name}")
             if g.shape != p.data.shape:
-                raise OptimConfigError(
+                raise ValueError(
                     f"{name}: gradient shape {g.shape} != param {p.data.shape}")
             if cfg.weight_decay and p.data.ndim >= 2:
                 g = g + cfg.weight_decay * p.data

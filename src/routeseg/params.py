@@ -51,14 +51,14 @@ def map_tensors(obj, fn, prefix: str = ""):
     return obj
 
 
-def walk_tensors(obj, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
+def walk_tensors(obj) -> Iterator[Tuple[str, Tensor]]:
     """Yield (dotted name, Tensor) over a nested parameter structure."""
-    return ((n, v) for n, v in _leaves(obj, prefix) if isinstance(v, Tensor))
+    return ((n, v) for n, v in _leaves(obj) if isinstance(v, Tensor))
 
 
-def walk_buffers(obj, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
+def walk_buffers(obj) -> Iterator[Tuple[str, np.ndarray]]:
     """Yield (dotted name, ndarray) for non-Tensor array fields (BN stats)."""
-    return ((n, v) for n, v in _leaves(obj, prefix) if isinstance(v, np.ndarray))
+    return ((n, v) for n, v in _leaves(obj) if isinstance(v, np.ndarray))
 
 
 def bind(obj, tape: Tape):
@@ -76,9 +76,9 @@ def named_arrays(obj) -> dict:
     return {name: t.data for name, t in walk_tensors(obj)}
 
 
-def substitute(obj, mapping: dict, prefix: str = ""):
+def substitute(obj, mapping: dict):
     """Rebuild a structure, replacing Tensors whose dotted name is mapped."""
-    return map_tensors(obj, lambda name, t: mapping.get(name, t), prefix)
+    return map_tensors(obj, lambda name, t: mapping.get(name, t))
 
 
 def count_scalars(obj) -> int:
@@ -89,9 +89,9 @@ def count_scalars(obj) -> int:
 # initializers
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                 dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) with redraws outside +-2 std."""
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) with redraws outside +-0.04."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     for _ in range(16):
         bad = np.abs(out) > 2.0 * std

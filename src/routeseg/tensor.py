@@ -115,40 +115,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        if self.tape is not None:
-            raise ValueError("cannot cast a tape-bound tensor")
-        return Tensor(self.data.astype(dtype))
-
     def __repr__(self):
         tag = "" if self.tape is None else f", node={self.node}"
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tag})"
 
-    # arithmetic sugar; the module-level functions carry the real logic
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _operands(op: str, *ts: Tensor) -> Optional[Tape]:
@@ -673,16 +645,20 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     return _make(out, tape, "conv2d", parents, back)
 
 
+NORM_EPS = 1e-5                  # layer and batch norm variance floor
+BN_MOMENTUM = 0.1                # batch-norm running-statistics update rate
+
+
 def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, var, axes,
-               batch_stats: bool, eps: float) -> Tensor:
-    """(x - mu) / sqrt(var + eps) * gamma + beta, gamma and beta per channel.
+               batch_stats: bool) -> Tensor:
+    """(x - mu) / sqrt(var + NORM_EPS) * gamma + beta, per-channel gamma, beta.
 
     ``mu`` and ``var`` are statistics over ``axes``. With ``batch_stats``
     they were computed from x, and the input gradient flows through them;
     otherwise they are constants.
     """
     tape = _operands(op, x, gamma, beta)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     gd = gamma.data
     out = xhat * gd + beta.data
@@ -703,21 +679,20 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, var, axes,
     return _make(out, tape, op, (x, gamma, beta), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last (channel) axis, then affine."""
     _nonempty(x, "layer_norm")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    return _normalize("layer_norm", x, gamma, beta, mu, var, -1, True, eps)
+    return _normalize("layer_norm", x, gamma, beta, mu, var, -1, True)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over [N, H, W] of a channel-last map.
 
     ``running_mean``/``running_var`` are plain buffers, updated in place
-    when training (new = (1 - momentum) * old + momentum * batch stat).
+    when training (new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch stat).
     """
     _nonempty(x, "batch_norm")
     if x.ndim != 4:
@@ -726,15 +701,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     axes = (0, 1, 2)
     if not training:
         return _normalize("batch_norm", x, gamma, beta, running_mean.astype(xd.dtype),
-                          running_var.astype(xd.dtype), axes, False, eps)
+                          running_var.astype(xd.dtype), axes, False)
     mu = xd.mean(axis=axes)
     var = xd.var(axis=axes)
     # normalize first: it rejects bad operands before the buffers change
-    out = _normalize("batch_norm", x, gamma, beta, mu, var, axes, True, eps)
+    out = _normalize("batch_norm", x, gamma, beta, mu, var, axes, True)
     m = xd.shape[0] * xd.shape[1] * xd.shape[2]
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mu
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mu
     # unbiased variance for the running buffer, biased for normalization
-    running_var *= (1.0 - momentum)
-    running_var += momentum * (var * m / max(m - 1, 1))
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * (var * m / max(m - 1, 1))
     return out

@@ -54,8 +54,6 @@ class NumericAbort(RuntimeError):
                  what: Optional[str] = None):
         what = f"loss {value}" if what is None else what
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
-        self.epoch = epoch
-        self.step = step
         self.value = value
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from routeseg.attention import (AttentionTrace, PartitionSpec, RoutingAttentionP
                                 recording, region_merge, region_partition,
                                 route_regions, routed_attention, token_attention)
 from routeseg.gradcheck import grad_check
-from routeseg.params import named_arrays, substitute, walk_tensors
+from routeseg.params import bind, named_arrays, substitute, walk_tensors
 from routeseg.tensor import Tape, Tensor, mul, sum_
 
 
@@ -22,9 +24,9 @@ def make_params(dim, heads, seed, dtype=np.float64, **kw):
 
 def test_partition_spec_counts():
     spec = PartitionSpec.build(8, 8, 2)
-    assert spec.num_regions == 4 and spec.tokens_per_region == 16
+    assert spec.num_regions == 4 and spec.region_h * spec.region_w == 16
     spec = PartitionSpec.build(56, 56, 7)
-    assert spec.tokens_per_region == 64
+    assert spec.region_h * spec.region_w == 64
 
 
 def test_partition_spec_rejects_bad_grid():
@@ -287,8 +289,8 @@ def test_capture_returns_trace():
                                   routed_attention(x, p, spec, top_k=3).data)
     (trace,) = rec.traces
     assert isinstance(trace, AttentionTrace)
-    assert trace.top_k == 3 and trace.spec is spec
-    assert trace.routing.index.shape == (1, 4, 3)
+    assert trace.spec is spec
+    assert trace.routing.index.shape == (1, 4, 3)    # [N, R, top_k]
     assert trace.weights.shape == (1, 4, 2, 4, 12)   # [N, R, heads, T, k*T]
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-12)
     assert out.shape == x.shape
@@ -321,6 +323,27 @@ def test_routed_attention_matches_central_differences_through_recompute(top_k):
     report = grad_check(loss, values, op="routed_attention")
     assert report.passed, report.summary()
     assert report.coords_checked == sum(a.size for a in values.values())
+
+
+def test_training_forward_keeps_one_copy_of_v():
+    # the tape keeps x's region partition (read by the three projections),
+    # q, k and the spatial V that both the recompute node and local context
+    # read; with the output that is five x-sized arrays. A second, region
+    # layout copy of V would make six.
+    n, side, c = 2, 32, 32
+    p = make_params(c, 2, 35)
+    spec = PartitionSpec.build(side, side, 4)
+    x = np.random.default_rng(35).standard_normal((n, side, side, c))
+    tape = Tape()
+    bp, xt = bind(p, tape), tape.watch(Tensor(x))
+    tracemalloc.start()
+    try:
+        out = routed_attention(xt, bp, spec, 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert held <= 5.5 * x.nbytes, f"held {held / x.nbytes:.2f} x-sized arrays"
 
 
 # ---------------------------------------------------------------------------

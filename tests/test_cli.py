@@ -296,6 +296,13 @@ def test_eval_on_images_of_another_size_is_data_error(quick_run, tmp_path,
     assert "32x32" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_eval_batch_size_below_one_is_usage_error(quick_run, size, capsys):
+    assert main(["eval", "--checkpoint", quick_run["ckpt"],
+                 "--data", quick_run["data"], "--batch-size", size]) == 2
+    assert f"--batch-size must be >= 1, got {size}" in capsys.readouterr().err
+
+
 def test_eval_hausdorff_flag_populates_field(quick_run, capsys):
     code = main(["eval", "--checkpoint", quick_run["ckpt"],
                  "--data", quick_run["data"], "--hausdorff"])
@@ -417,6 +424,18 @@ def test_bench_scaling_fits_subquadratic_exponent(tmp_path, capsys):
 def test_bench_scaling_needs_three_sides(capsys):
     assert main(["bench-scaling", "--sides", "32,64"]) == 2
     assert "at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--top-k", "--channels"])
+def test_bench_scaling_values_below_one_are_usage_errors(option, capsys):
+    assert main(["bench-scaling", option, "0"]) == 2
+    assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_bench_scaling_top_k_above_every_partition_is_usage_error(capsys):
+    # side 2 holds at most 2 x 2 regions
+    assert main(["bench-scaling", "--sides", "2,4,8", "--top-k", "5"]) == 2
+    assert "no valid partition factor for hw 4" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

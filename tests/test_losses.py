@@ -42,27 +42,12 @@ def test_disjoint_prediction_saturates_dice():
     assert loss.item() > 0.999
 
 
-def test_dice_class_weights_scale_each_ratio():
-    rng = np.random.default_rng(60)
-    target = one_hot(rng.integers(0, 2, (4, 4)), 2, dtype=np.float64)
-    probs = Tensor(softmax_lastdim(Tensor(rng.standard_normal(target.shape))).data)
-    uniform = dice_loss(probs, Tensor(target)).item()
-    skewed = dice_loss(probs, Tensor(target),
-                       weights=np.array([1.0, 0.0])).item()
-    ratio0 = 1.0 - dice_loss(probs, Tensor(target),
-                             weights=np.array([1.0, 0.0])).item()
-    assert uniform != skewed
-    assert 0.0 <= ratio0 <= 1.0 + 1e-12
-
-
 def test_dice_input_validation():
     t = Tensor(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="vs target"):
         dice_loss(t, Tensor(np.zeros((2, 2, 3))))
     with pytest.raises(ValueError, match="probability maps"):
         dice_loss(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-    with pytest.raises(ValueError, match="class weights"):
-        dice_loss(t, t, weights=np.ones(3))
 
 
 def test_cross_entropy_uniform_binary_is_ln_two():

@@ -148,15 +148,15 @@ def test_resolved_top_k_default_and_override():
 
 def test_build_clamps_top_k_to_region_count():
     model = build_model(micro_config())       # hw 32 -> sides 8,4,2,1,...
-    assert all(k <= sp.num_regions for k, sp in zip(model.top_k, model.specs))
-    assert model.specs[3].num_regions == 1 and model.top_k[3] == 1
+    assert all(k <= sp.num_regions for sp, k in model.partitions)
+    assert model.partitions[3][0].num_regions == 1 and model.partitions[3][1] == 1
 
 
 def test_deep_stages_degrade_partition_factor():
     model = build_model(ModelConfig())
-    assert [sp.s for sp in model.specs] == [7] * 7
+    assert [sp.s for sp, _ in model.partitions] == [7] * 7
     small = build_model(dataclasses.replace(ModelConfig(), input_hw=256))
-    assert [sp.s for sp in small.specs] == [4, 4, 4, 4, 4, 4, 4]
+    assert [sp.s for sp, _ in small.partitions] == [4, 4, 4, 4, 4, 4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def test_forward_capture_returns_stage_trace():
         logits = model.forward(Tensor(x))
     assert logits.shape == (1, 32, 32, 2)
     trace = rec.traces[-1]
-    assert trace.spec is model.specs[6]
+    assert trace.spec is model.partitions[6][0]
     np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-5)
 
 
@@ -531,9 +531,27 @@ def test_recording_leaves_forward_unchanged_and_traces_every_block():
     assert len(rec.traces) == sum(cfg.stage_depths)
     stages = [i for i, d in enumerate(cfg.stage_depths) for _ in range(d)]
     for trace, i in zip(rec.traces, stages):
-        assert trace.spec is model.specs[i] and trace.top_k == model.top_k[i]
-        assert trace.routing.index.shape == (2, model.specs[i].num_regions,
-                                             model.top_k[i])
+        spec, top_k = model.partitions[i]
+        assert trace.spec is spec
+        assert trace.routing.index.shape == (2, spec.num_regions, top_k)
+
+
+def test_backward_replay_records_nothing():
+    # backward runs every routed core again; inside recording() only the
+    # forward call leaves a trace
+    cfg = micro_config(stage_depths=(1, 2, 0, 1, 0, 2, 1))
+    model = build_model(cfg, seed=5)
+    x = Tensor(np.random.default_rng(84).standard_normal(
+        (2, 32, 32, 1)).astype(np.float32))
+    with recording(RoutingRecord()) as plain:
+        model.forward(x, training=True)
+    with recording(RoutingRecord()) as rec:
+        tape = Tape()
+        backward(sum_(model.bind(tape).forward(x, training=True)))
+    assert len(rec.traces) == len(plain.traces) == sum(cfg.stage_depths)
+    for got, want in zip(rec.traces, plain.traces):
+        np.testing.assert_array_equal(got.routing.index, want.routing.index)
+        np.testing.assert_array_equal(got.weights, want.weights)
 
 
 def test_skip_mask_disables_fusion_modules():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from routeseg.model import CheckpointError, take_records
-from routeseg.optim import Optimizer, OptimConfig, OptimConfigError, cosine_lr
+from routeseg.model import CheckpointError, ConfigError, take_records
+from routeseg.optim import Optimizer, OptimConfig, cosine_lr
 from routeseg.tensor import Tensor
 
 
@@ -31,7 +31,7 @@ def test_presets():
     assert (adam.kind, adam.lr, adam.weight_decay, adam.schedule,
             adam.epochs, adam.batch_size) == \
         ("adam", 5e-4, 0.0, "cosine", 200, 16)
-    with pytest.raises(OptimConfigError, match="preset"):
+    with pytest.raises(ConfigError, match="preset"):
         OptimConfig.preset("rmsprop")
 
 
@@ -46,7 +46,7 @@ def test_presets():
     (dict(epochs=0), "epochs"),
 ])
 def test_config_validation(kw, msg):
-    with pytest.raises(OptimConfigError, match=msg):
+    with pytest.raises(ConfigError, match=msg):
         OptimConfig(**kw).validate()
 
 
@@ -56,9 +56,9 @@ def test_cosine_schedule_endpoints_and_midpoint():
     assert cosine_lr(50, 100, 0.05) == pytest.approx(0.025)
     assert cosine_lr(25, 100, 0.05) == pytest.approx(
         0.05 * (1 + math.cos(math.pi / 4)) / 2)
-    with pytest.raises(OptimConfigError, match="outside"):
+    with pytest.raises(ValueError, match="outside"):
         cosine_lr(101, 100, 0.05)
-    with pytest.raises(OptimConfigError, match="outside"):
+    with pytest.raises(ValueError, match="outside"):
         cosine_lr(-1, 100, 0.05)
 
 
@@ -166,16 +166,16 @@ def test_first_adam_step_matches_closed_form():
 
 def test_duplicate_parameter_names_rejected():
     t = Tensor(np.zeros(1))
-    with pytest.raises(OptimConfigError, match="duplicate parameter"):
+    with pytest.raises(ValueError, match="duplicate parameter"):
         Optimizer(OptimConfig(), [("a", t), ("a", t)])
 
 
 def test_missing_and_misshapen_gradients_rejected():
     named = params_of([1.0, 2.0])
     opt = Optimizer(OptimConfig(), named)
-    with pytest.raises(OptimConfigError, match="no gradient"):
+    with pytest.raises(ValueError, match="no gradient"):
         opt.step({}, lr=0.1)
-    with pytest.raises(OptimConfigError, match="gradient shape"):
+    with pytest.raises(ValueError, match="gradient shape"):
         opt.step({"p0": np.zeros((3,))}, lr=0.1)
 
 
