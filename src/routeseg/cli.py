@@ -4,10 +4,11 @@ dump-attention, gradcheck.
 One command per process. Exit codes: 0 success, 1 gradcheck or internal
 failure, 2 configuration error, 3 data or artifact error, 4 numeric
 abort during training; every unusable checkpoint, a resumed one
-included, is a data error. No command sets the thread count of numpy's
-BLAS. Results repeat byte for byte at a fixed BLAS thread count;
-different counts can round BLAS reductions differently, so pin the count
-with ``OPENBLAS_NUM_THREADS`` in the environment of the process.
+included, and every file that cannot be read or written is a data
+error. No command sets the thread count of numpy's BLAS. Results repeat
+byte for byte at a fixed BLAS thread count; different counts can round
+BLAS reductions differently, so pin the count with
+``OPENBLAS_NUM_THREADS`` in the environment of the process.
 """
 
 from __future__ import annotations
@@ -351,17 +352,20 @@ def cmd_dump_attention(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_standard_suite
+    if not 0 < args.step < np.inf:
+        raise ConfigError(f"--step must be finite and > 0, got {args.step}")
+    if not 0 <= args.tol < np.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     reports = run_standard_suite(step=args.step, tol=args.tol)
-    worst = None
     for rep in reports:
         _say(rep.summary())
-        if worst is None or rep.max_rel_err > worst.max_rel_err:
-            worst = rep
     failed = [r for r in reports if not r.passed]
+    pool = failed or reports
+    # np.argmax ranks a NaN above every number, so a NaN error is named
+    worst = pool[int(np.argmax([r.max_rel_err for r in pool]))]
     if failed:
-        bad = max(failed, key=lambda r: r.max_rel_err)
         _say(f"FAILED: {len(failed)}/{len(reports)} checks; worst offender "
-             f"{bad.op} at rel err {bad.max_rel_err:.3e} (tol {bad.tol})")
+             f"{worst.op} at rel err {worst.max_rel_err:.3e} (tol {worst.tol})")
         return 1
     _say(f"all {len(reports)} gradient checks passed "
          f"(worst {worst.op} at {worst.max_rel_err:.3e})")
@@ -467,7 +471,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"routeseg: config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as e:
+    except (DataError, CheckpointError, OSError) as e:
         print(f"routeseg: data error: {e}", file=sys.stderr)
         return 3
     except NumericAbort as e:

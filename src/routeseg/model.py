@@ -387,7 +387,7 @@ def read_records(path: str) -> Tuple[str, Records]:
             raise
     except OSError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    return config_text, Records(_PayloadFile(f.detach(), path), index)
+    return config_text, Records(f.detach(), index)
 
 
 def _read_header(f, path: str) -> Tuple[str, Dict[str, tuple]]:
@@ -448,16 +448,24 @@ def _read_header(f, path: str) -> Tuple[str, Dict[str, tuple]]:
     return config_text, index
 
 
-class _PayloadFile:
-    """An open checkpoint file, unbuffered so that every read sees the file
-    as it is now; closed once no ``Records`` refers to it."""
+class Records(Mapping):
+    """Checkpoint records by name, in file order, read on access.
 
-    def __init__(self, raw, path: str):
-        self.path = path
+    ``records[name]`` reads that payload into a fresh native-order array
+    that owns its data and is writable, aligned and C-contiguous. The file
+    ``read_records`` opened stays open, unbuffered, until the mapping is
+    dropped: a file renamed over the path meanwhile does not change what is
+    read, and a file that has since shrunk is a ``CheckpointError``. Names,
+    shapes and dtypes (``layout``) come from the header alone.
+    """
+
+    def __init__(self, raw, index: Dict[str, tuple]):
         self._raw = raw
+        self._index = index
         weakref.finalize(self, raw.close)
 
-    def read(self, name: str, offset: int, dims: tuple, dtype) -> np.ndarray:
+    def __getitem__(self, name: str) -> np.ndarray:
+        offset, dims, dtype = self._index[name]
         arr = np.empty(dims, dtype=dtype)
         view = memoryview(arr.reshape(-1)).cast("B")
         got = 0
@@ -470,31 +478,10 @@ class _PayloadFile:
                         f"truncated checkpoint while reading payload of {name}")
                 got += n
         except OSError as e:
-            raise CheckpointError(f"{self.path}: {e}") from e
+            raise CheckpointError(f"{self._raw.name}: {e}") from e
         if sys.byteorder != "little":
             arr.byteswap(inplace=True)
         return arr
-
-
-class Records(Mapping):
-    """Checkpoint records by name, in file order, read on access.
-
-    ``records[name]`` reads that payload from the file ``read_records``
-    opened into a fresh native-order array that owns its data and is
-    writable, aligned and C-contiguous. Another file renamed over the path
-    meanwhile does not change what is read; a file that has since shrunk
-    is a ``CheckpointError``. Names, shapes and dtypes (``layout``) come
-    from the header alone. ``pop`` drops a name after reading it, and
-    ``copy`` gives an independent index over the same file, which is
-    closed when the last mapping that uses it is dropped.
-    """
-
-    def __init__(self, payloads: _PayloadFile, index: Dict[str, tuple]):
-        self._payloads = payloads
-        self._index = index
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._payloads.read(name, *self._index[name])
 
     def __contains__(self, name) -> bool:
         return name in self._index
@@ -508,14 +495,6 @@ class Records(Mapping):
     def layout(self, name: str) -> Optional[Tuple[tuple, np.dtype]]:
         entry = self._index.get(name)
         return None if entry is None else entry[1:]
-
-    def pop(self, name: str) -> np.ndarray:
-        arr = self[name]
-        del self._index[name]
-        return arr
-
-    def copy(self) -> "Records":
-        return Records(self._payloads, dict(self._index))
 
 
 def save_model(path: str, model: Model, config_text: str = "",
@@ -539,7 +518,7 @@ def _layout(records: Mapping[str, np.ndarray], name: str):
 
 def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray],
                  source: str = "checkpoint"):
-    """Pop each wanted name from ``records`` and copy it into its array.
+    """Copy ``records[name]`` into each wanted array; ``records`` is unchanged.
 
     ``records`` is a dict or the ``Records`` of ``read_records``. Every
     wanted record must be present with an identical shape and dtype,
@@ -558,12 +537,9 @@ def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray
                 f"{name}: {source} has {dtype}{shape}, "
                 f"this run wants {dst.dtype}{dst.shape}")
     for name, dst in wanted.items():
-        dst[...] = records.pop(name)
+        dst[...] = records[name]
 
 
 def load_into_model(model: Model, records: Mapping[str, np.ndarray]):
-    """Copy every model parameter and buffer out of ``records``; return the
-    leftovers, of the same kind as ``records``."""
-    extras = records.copy()
-    take_records(extras, model.records())
-    return extras
+    """Copy every model parameter and buffer out of ``records``."""
+    take_records(records, model.records())

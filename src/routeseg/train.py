@@ -31,8 +31,8 @@ import numpy as np
 from .data import AugmentConfig, SegSample, SplitMix64, augment, derive_seed, stack_batch
 from .losses import cross_entropy_loss, dice_loss, one_hot
 from .metrics import MetricsReport, evaluate_predictions
-from .model import (CheckpointError, Model, load_into_model, read_records,
-                    save_model, take_records)
+from .model import (CheckpointError, Model, read_records, save_model,
+                    take_records)
 from .optim import Optimizer, OptimConfig, cosine_lr
 from .params import walk_tensors
 from .tensor import Tape, Tensor, add, backward, mul, softmax_lastdim
@@ -78,19 +78,19 @@ def _state_records(state: TrainState) -> Dict[str, np.ndarray]:
 def _resume(model: Model, opt: Optimizer, path: str) -> TrainState:
     """Load the model, optimizer and progress of a run from its checkpoint.
 
-    The records and the open checkpoint file are released on return, so
-    the run that follows holds neither.
+    Every record is checked before any is copied, so a refused checkpoint
+    changes nothing. The records and the open file are released on return.
     """
     _, records = read_records(path)
-    extras = load_into_model(model, records)
     run_state = {**opt.state_records(), **_state_records(TrainState())}
-    take_records(extras, run_state, path)
-    # a record nothing took, such as another optimizer's slots, means the
-    # checkpoint comes from a different kind of run
-    if extras:
-        unused = sorted(extras)
+    wanted = {**model.records(), **run_state}
+    # a record this run does not take, such as another optimizer's slots,
+    # means the checkpoint comes from a different kind of run
+    unused = sorted(set(records) - set(wanted))
+    if unused:
         raise CheckpointError(f"{path}: record {unused[0]} is not used by "
                               f"this run ({len(unused)} unused records)")
+    take_records(records, wanted, path)
     opt.t = int(run_state["opt.t"])
     return TrainState(epoch=int(run_state["state.epoch"]),
                       step=int(run_state["state.step"]),

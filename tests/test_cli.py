@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+import routeseg.gradcheck
 import routeseg.tensor
 import routeseg.train
 from routeseg.cli import main
 from routeseg.config import parse_config_text
 from routeseg.data import (read_pnm, save_dataset, synth_dataset,
                            write_split_file)
+from routeseg.gradcheck import GradCheckReport
 from routeseg.model import build_model, read_records, save_model, write_records
 
 QUICK_CFG = """\
@@ -127,6 +129,13 @@ def test_resume_from_checkpoint_missing_run_state_is_data_error(
                  str(tmp_path / "o"), "--resume", ckpt]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and f"is missing {named}" in err
+
+
+def test_train_out_on_an_existing_file_is_data_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "quick.cfg"), QUICK_CFG)
+    out = write(str(tmp_path / "taken"), "")
+    assert main(["train", "--config", cfg, "--out", out]) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_train_missing_config_is_config_error(tmp_path, capsys):
@@ -404,6 +413,14 @@ def test_report_without_target_says_so(tmp_path, capsys):
     assert "total params" in text and "total flops" in text
 
 
+def test_report_to_an_unwritable_path_is_data_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "micro.cfg"), QUICK_CFG)
+    blocker = write(str(tmp_path / "a_file"), "")
+    assert main(["report", "--config", cfg,
+                 "--out", os.path.join(blocker, "report.txt")]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench-scaling
 
@@ -522,6 +539,32 @@ def test_gradcheck_command_catches_broken_backward(monkeypatch, capsys):
     assert main(["gradcheck"]) == 1
     out = capsys.readouterr().out
     assert "FAILED" in out and "sqrt" in out
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--step", "0"), ("--step", "-1e-4"), ("--step", "nan"), ("--step", "inf"),
+    ("--tol", "-1e-3"), ("--tol", "nan"), ("--tol", "inf")])
+def test_gradcheck_bad_step_or_tol_is_usage_error(option, value, monkeypatch,
+                                                  capsys):
+    def no_suite(**kw):
+        raise AssertionError("the suite ran before the options were checked")
+
+    monkeypatch.setattr(routeseg.gradcheck, "run_standard_suite", no_suite)
+    assert main(["gradcheck", f"{option}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and option in err
+
+
+def test_gradcheck_worst_offender_names_a_nan_check(monkeypatch, capsys):
+    def suite(step, tol):
+        return [GradCheckReport("finite", tol, step, 0.5, False, 3),
+                GradCheckReport("nan_grad", tol, step, float("nan"), False, 3)]
+
+    monkeypatch.setattr(routeseg.gradcheck, "run_standard_suite", suite)
+    assert main(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "nan_grad: max rel err nan" in out
+    assert "worst offender nan_grad at rel err nan" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The only runtime dependency is numpy: every module of the package
-imports from the standard library, numpy or the package itself."""
+imports from the standard library, numpy or the package itself. The
+package also holds no more settable values than it did when they were
+last counted."""
 
 import ast
 import sys
@@ -30,3 +32,36 @@ def test_package_imports_only_numpy_and_the_standard_library():
                for root in imported_roots(m.read_text(encoding="utf-8"))
                if root not in ALLOWED]
     assert not outside, outside
+
+
+# Parameter defaults plus @dataclass fields over src/routeseg/*.py. A change
+# that adds an option raises this bound and says why in CHANGES.md.
+SETTABLE_BOUND = 202
+
+
+def settable_values(source: str) -> int:
+    """Parameter defaults, keyword-only ones included, plus the annotated
+    fields of every @dataclass class in ``source``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(b, ast.AnnAssign) for b in node.body)
+    return count
+
+
+def test_settable_values_counts_defaults_and_dataclass_fields():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 1\n"
+              "class B:\n    z: int = 2\n"
+              "def f(a, b=1, *, c, d=2):\n    g = lambda e=3: e\n")
+    assert settable_values(source) == 5
+
+
+def test_package_adds_no_settable_values():
+    count = sum(settable_values(m.read_text(encoding="utf-8"))
+                for m in PACKAGE.glob("*.py"))
+    assert count <= SETTABLE_BOUND, \
+        f"{count} settable values, bound {SETTABLE_BOUND}: justify the new ones"

@@ -41,6 +41,31 @@ def test_grad_check_detects_wrong_backward():
     assert "FAIL" in rep.summary()
 
 
+def test_grad_check_fails_a_nan_gradient():
+    # the forward is x^2 but the backward returns NaN; a NaN compares
+    # greater than nothing, so a running maximum would have kept 0
+    def nan_square(p):
+        a = p["a"]
+        out = T.mul(a, a)
+        if a.tape is not None:
+            fake = a.tape._append("nan_square", (a.node,),
+                                  lambda g: (np.full_like(a.data, np.nan),))
+            out = Tensor(out.data, tape=a.tape, node=fake)
+        return T.sum_(out)
+
+    rep = grad_check(nan_square, {"a": np.array([1.0, 2.0])}, op="nan_square")
+    assert not rep.passed
+    assert np.isnan(rep.max_rel_err)
+    assert "max rel err nan" in rep.summary() and "FAIL" in rep.summary()
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf])
+def test_grad_check_fails_a_non_finite_step(step):
+    rep = grad_check(lambda p: T.sum_(T.mul(p["a"], p["a"])),
+                     {"a": np.array([0.5, -1.5])}, step=step)
+    assert not rep.passed
+
+
 def test_grad_check_rejects_float32_and_nonscalar():
     with pytest.raises(ValueError, match="float64"):
         grad_check(lambda p: T.sum_(p["a"]), {"a": np.zeros(2, dtype=np.float32)})

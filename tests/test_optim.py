@@ -192,10 +192,12 @@ def test_state_records_round_trip():
     fresh = Optimizer(OptimConfig.preset("adam"), fresh_named)
     # the restore a resumed run makes: take into the live slots, read t back
     wanted = fresh.state_records()
-    leftovers = dict(records)
-    take_records(leftovers, wanted)
+    given = dict(records)
+    take_records(given, wanted)
     fresh.t = int(wanted["opt.t"])
-    assert fresh.t == 3 and not leftovers
+    assert fresh.t == 3
+    assert given.keys() == records.keys()             # the input is unchanged
+    assert all(given[k] is records[k] for k in records)
     np.testing.assert_array_equal(fresh.slots["p0"]["m"], opt.slots["p0"]["m"])
     np.testing.assert_array_equal(fresh.slots["p0"]["v"], opt.slots["p0"]["v"])
 

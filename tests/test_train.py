@@ -216,16 +216,32 @@ def test_resume_rejects_non_training_checkpoint(tmp_path):
                    tiny_optim(), resume_from=bare)
 
 
-def test_resume_rejects_another_optimizers_checkpoint(tmp_path):
+def test_resume_rejects_another_optimizers_checkpoint(tmp_path, monkeypatch):
     samples = synth_dataset(2, 32, 2, seed=17, in_channels=1)
     out = str(tmp_path / "adam")
     train_loop(build_model(micro_config(), seed=0), samples, [],
                tiny_optim(epochs=1), eval_every=0, out_dir=out)
+    made = []
+
+    class KeptOptimizer(routeseg.train.Optimizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, {k: v.copy() for k, v in self.state_records().items()}))
+
+    monkeypatch.setattr(routeseg.train, "Optimizer", KeptOptimizer)
+    model = build_model(micro_config(), seed=1)
+    before = {k: v.copy() for k, v in model.records().items()}
     # SGD takes Adam's second moment "v" as its momentum; the "m" slots are left
     with pytest.raises(CheckpointError, match=r"record opt\.\S+\.m is not used"):
-        train_loop(build_model(micro_config(), seed=0), samples, [],
-                   tiny_optim(epochs=2, kind="sgd", momentum=0.9),
+        train_loop(model, samples, [], tiny_optim(epochs=2, kind="sgd", momentum=0.9),
                    resume_from=os.path.join(out, "last.ckpt"))
+    # every record is checked before the first is copied, so the refused
+    # checkpoint has overwritten neither the seed-1 weights nor the slots
+    for name, arr in model.records().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+    (opt, slots), = made
+    for name, arr in opt.state_records().items():
+        assert arr.tobytes() == slots[name].tobytes(), name
 
 
 def test_augmented_run_differs_but_stays_deterministic():
