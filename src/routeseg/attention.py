@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .params import trunc_normal, zeros
+from .params import trunc_normal
 from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, rearrange, recompute,
                      reshape, softmax_lastdim, transpose)  # noqa: F401, perfbench rebinds transpose
 
@@ -125,12 +125,12 @@ class RoutingAttentionParams:
             return Tensor(trunc_normal(rng, (dim, dim), dtype=dtype))
 
         def b():
-            return Tensor(zeros((dim,), dtype)) if qkv_bias else None
+            return Tensor(np.zeros((dim,), dtype)) if qkv_bias else None
 
         lce = Tensor(trunc_normal(rng, (LCE_KERNEL, LCE_KERNEL, 1, dim),
                                   dtype=dtype))
         return cls(wq=w(), wk=w(), wv=w(), wo=w(), bq=b(), bk=b(), bv=b(),
-                   bo=Tensor(zeros((dim,), dtype)), lce=lce, heads=heads,
+                   bo=Tensor(np.zeros((dim,), dtype)), lce=lce, heads=heads,
                    scale_mode=scale_mode)
 
     @property

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import PartitionSpec, RoutingAttentionParams, routed_attention
-from .params import conv_init, ones, trunc_normal, zeros
+from .params import conv_init, trunc_normal
 from .tensor import (Tensor, conv2d, dense, gelu, layer_norm, rearrange, reshape,
                      transpose)  # noqa: F401, perfbench rebinds transpose
 
@@ -51,18 +51,18 @@ class BlockParams:
         hidden = MLP_RATIO * dim
         return cls(
             dw=Tensor(conv_init(rng, 3, 3, 1, dim, dtype)),
-            dw_b=Tensor(zeros((dim,), dtype)),
-            ln1_g=Tensor(ones((dim,), dtype)),
-            ln1_b=Tensor(zeros((dim,), dtype)),
+            dw_b=Tensor(np.zeros((dim,), dtype)),
+            ln1_g=Tensor(np.ones((dim,), dtype)),
+            ln1_b=Tensor(np.zeros((dim,), dtype)),
             attn=RoutingAttentionParams.init(dim, heads, rng, dtype=dtype,
                                              qkv_bias=qkv_bias,
                                              scale_mode=scale_mode),
-            ln2_g=Tensor(ones((dim,), dtype)),
-            ln2_b=Tensor(zeros((dim,), dtype)),
+            ln2_g=Tensor(np.ones((dim,), dtype)),
+            ln2_b=Tensor(np.zeros((dim,), dtype)),
             mlp_w1=Tensor(trunc_normal(rng, (dim, hidden), dtype=dtype)),
-            mlp_b1=Tensor(zeros((hidden,), dtype)),
+            mlp_b1=Tensor(np.zeros((hidden,), dtype)),
             mlp_w2=Tensor(trunc_normal(rng, (hidden, dim), dtype=dtype)),
-            mlp_b2=Tensor(zeros((dim,), dtype)),
+            mlp_b2=Tensor(np.zeros((dim,), dtype)),
         )
 
 def block_forward(x: Tensor, p: BlockParams, spec: PartitionSpec,
@@ -95,11 +95,11 @@ class PatchEmbedParams:
         mid = out_ch // 2
         return cls(
             w1=Tensor(conv_init(rng, 3, 3, in_ch, mid, dtype)),
-            b1=Tensor(zeros((mid,), dtype)),
-            n1_g=Tensor(ones((mid,), dtype)), n1_b=Tensor(zeros((mid,), dtype)),
+            b1=Tensor(np.zeros((mid,), dtype)),
+            n1_g=Tensor(np.ones((mid,), dtype)), n1_b=Tensor(np.zeros((mid,), dtype)),
             w2=Tensor(conv_init(rng, 3, 3, mid, out_ch, dtype)),
-            b2=Tensor(zeros((out_ch,), dtype)),
-            n2_g=Tensor(ones((out_ch,), dtype)), n2_b=Tensor(zeros((out_ch,), dtype)),
+            b2=Tensor(np.zeros((out_ch,), dtype)),
+            n2_g=Tensor(np.ones((out_ch,), dtype)), n2_b=Tensor(np.zeros((out_ch,), dtype)),
         )
 
 
@@ -123,9 +123,9 @@ class PatchMergeParams:
     def init(cls, in_ch: int, rng: np.random.Generator, dtype=np.float32):
         out = 2 * in_ch
         return cls(w=Tensor(conv_init(rng, 3, 3, in_ch, out, dtype)),
-                   b=Tensor(zeros((out,), dtype)),
-                   n_g=Tensor(ones((out,), dtype)),
-                   n_b=Tensor(zeros((out,), dtype)))
+                   b=Tensor(np.zeros((out,), dtype)),
+                   n_g=Tensor(np.ones((out,), dtype)),
+                   n_b=Tensor(np.zeros((out,), dtype)))
 
 
 def patch_merge(x: Tensor, p: PatchMergeParams) -> Tensor:
@@ -145,7 +145,7 @@ class PatchExpandParams:
         out_ch = in_ch if factor == 4 else in_ch // 2
         return cls(w=Tensor(trunc_normal(rng, (in_ch, factor * factor * out_ch),
                                          dtype=dtype)),
-                   b=Tensor(zeros((factor * factor * out_ch,), dtype)),
+                   b=Tensor(np.zeros((factor * factor * out_ch,), dtype)),
                    factor=factor)
 
 

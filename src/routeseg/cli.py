@@ -14,6 +14,7 @@ BLAS reductions differently, so pin the count with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -23,9 +24,9 @@ import numpy as np
 from .attention import RoutingRecord, recording
 from .config import (RunConfig, describe_keys, effective_text, load_config,
                      parse_config_text)
-from .data import (DataError, SegSample, kfold_splits, load_dataset,
-                   make_splits, read_image, read_split_file, synth_dataset,
-                   write_pgm)
+from .data import (SPLIT_NAMES, DataError, SegSample, kfold_splits,
+                   load_dataset, make_splits, read_image, read_split_file,
+                   synth_dataset, write_pgm)
 from .model import (CheckpointError, ConfigError, Model, build_model,
                     count_flops, count_params, load_into_model, read_records)
 from .tensor import Tensor, softmax_lastdim
@@ -44,7 +45,8 @@ def _say(*parts):
 
 
 def _split_samples(samples: List[SegSample], run: RunConfig
-                   ) -> Tuple[List[SegSample], List[SegSample], List[SegSample]]:
+                   ) -> Dict[str, List[SegSample]]:
+    """Samples by split name, as the split file, k-fold or fractions say."""
     ids = [s.id for s in samples]
     if run.split_file:
         assignment = read_split_file(run.split_file)
@@ -55,13 +57,13 @@ def _split_samples(samples: List[SegSample], run: RunConfig
         assignment = kfold_splits(ids, run.kfold, run.fold, run.seed)
     else:
         assignment = make_splits(ids, run.split_fractions, run.seed)
-    buckets: Dict[str, List[SegSample]] = {"train": [], "val": [], "test": []}
+    buckets: Dict[str, List[SegSample]] = {name: [] for name in SPLIT_NAMES}
     for s in samples:
         name = assignment[s.id]
         if name not in buckets:
             raise DataError(f"unknown split name {name!r} for id {s.id!r}")
         buckets[name].append(s)
-    return buckets["train"], buckets["val"], buckets["test"]
+    return buckets
 
 
 def _gather_samples(run: RunConfig) -> List[SegSample]:
@@ -70,8 +72,15 @@ def _gather_samples(run: RunConfig) -> List[SegSample]:
                              run.model.num_classes, run.seed,
                              in_channels=run.model.in_channels)
     if not run.data_root:
-        raise DataError("no data_root configured and synthetic = false")
-    return _load_samples(run.data_root, run)
+        raise DataError("no dataset: configure data_root or synthetic = true "
+                        "(eval also takes --data)")
+    samples = load_dataset(run.data_root, run.model.in_channels,
+                           run.model.num_classes)
+    if not samples:
+        raise DataError(f"no samples found under {run.data_root!r}")
+    for s in samples:
+        _check_extents(s.image, run.model.input_hw, f"{run.data_root}: sample {s.id!r}")
+    return samples
 
 
 def _at_least_one(**options: int):
@@ -84,13 +93,6 @@ def _check_extents(image: np.ndarray, hw: int, what: str):
     if image.shape[0] != hw or image.shape[1] != hw:
         raise DataError(f"{what}: extents {image.shape[0]}x{image.shape[1]} "
                         f"do not match the model input {hw}x{hw}")
-
-
-def _load_samples(root: str, run: RunConfig) -> List[SegSample]:
-    samples = load_dataset(root, run.model.in_channels, run.model.num_classes)
-    for s in samples:
-        _check_extents(s.image, run.model.input_hw, f"{root}: sample {s.id!r}")
-    return samples
 
 
 def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig]:
@@ -112,15 +114,15 @@ def _read_input_image(path: str, run: RunConfig) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
+    if args.stop_after_epochs is not None:
+        _at_least_one(stop_after_epochs=args.stop_after_epochs)
     run = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     text = effective_text(run)
     with open(os.path.join(args.out, "effective.cfg"), "w", encoding="utf-8") as f:
         f.write(text)
-    samples = _gather_samples(run)
-    if not samples:
-        raise DataError(f"no samples found under {run.data_root!r}")
-    train_set, val_set, _ = _split_samples(samples, run)
+    splits = _split_samples(_gather_samples(run), run)
+    train_set, val_set = splits["train"], splits["val"]
     if not train_set:
         raise DataError("training split is empty")
     model = build_model(run.model, seed=run.seed)
@@ -135,25 +137,22 @@ def cmd_train(args) -> int:
         stop_after_epochs=args.stop_after_epochs)
     _say(f"done: {state.epoch} epochs, {state.step} steps, "
          f"best foreground DSC {state.best_dsc:.4f}")
-    _say(f"wrote {os.path.join(args.out, 'best.ckpt')} and last.ckpt")
+    # a run stopped before its first validation has no best.ckpt
+    paths = [os.path.join(args.out, n) for n in ("best.ckpt", "last.ckpt")]
+    _say("wrote", " and ".join(p for p in paths if os.path.exists(p)))
     return 0
 
 
 def cmd_eval(args) -> int:
     _at_least_one(batch_size=args.batch_size)
     model, run = _load_checkpoint_model(args.checkpoint)
-    root = args.data or run.data_root
-    if not root:
-        raise DataError("no dataset: pass --data or configure data_root")
-    samples = _load_samples(root, run)
-    if not samples:
-        raise DataError(f"no samples found under {root!r}")
+    if args.data:
+        run = dataclasses.replace(run, synthetic=False, data_root=args.data)
+    if args.split_file:
+        run = dataclasses.replace(run, split_file=args.split_file)
+    samples = _gather_samples(run)
     if args.split != "all":
-        split_file = args.split_file or run.split_file
-        if not split_file:
-            raise ConfigError(f"--split {args.split} needs a split file")
-        assignment = read_split_file(split_file)
-        samples = [s for s in samples if assignment.get(s.id) == args.split]
+        samples = _split_samples(samples, run)[args.split]
         if not samples:
             raise DataError(f"split {args.split!r} selects no samples")
     report = evaluate(model, samples, batch_size=args.batch_size,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import conv_init, ones, trunc_normal, zeros
+from .params import conv_init, trunc_normal
 from .tensor import (Tensor, batch_norm, concat, conv2d, dense, mul, relu,
                      sigmoid)
 
@@ -55,17 +55,17 @@ class FusionParams:
             raise ValueError(f"fusion width {wide} too small for reduction {GATE_REDUCTION}")
         return cls(
             ca_w1=Tensor(trunc_normal(rng, (wide, mid), dtype=dtype)),
-            ca_b1=Tensor(zeros((mid,), dtype)),
+            ca_b1=Tensor(np.zeros((mid,), dtype)),
             ca_w2=Tensor(trunc_normal(rng, (mid, wide), dtype=dtype)),
-            ca_b2=Tensor(zeros((wide,), dtype)),
+            ca_b2=Tensor(np.zeros((wide,), dtype)),
             sa_w1=Tensor(conv_init(rng, GATE_KERNEL, GATE_KERNEL, wide, mid, dtype)),
-            sa_b1=Tensor(zeros((mid,), dtype)),
-            bn_g=Tensor(ones((mid,), dtype)),
-            bn_b=Tensor(zeros((mid,), dtype)),
+            sa_b1=Tensor(np.zeros((mid,), dtype)),
+            bn_g=Tensor(np.ones((mid,), dtype)),
+            bn_b=Tensor(np.zeros((mid,), dtype)),
             sa_w2=Tensor(conv_init(rng, GATE_KERNEL, GATE_KERNEL, mid, wide, dtype)),
-            sa_b2=Tensor(zeros((wide,), dtype)),
+            sa_b2=Tensor(np.zeros((wide,), dtype)),
             out_w=Tensor(trunc_normal(rng, (wide, n), dtype=dtype)),
-            out_b=Tensor(zeros((n,), dtype)),
+            out_b=Tensor(np.zeros((n,), dtype)),
             bn_mean=np.zeros((mid,), dtype=np.float64),
             bn_var=np.ones((mid,), dtype=np.float64),
         )
@@ -80,7 +80,7 @@ class PlainFuseParams:
     def init(cls, channels: int, rng: np.random.Generator, dtype=np.float32):
         return cls(out_w=Tensor(trunc_normal(rng, (2 * channels, channels),
                                              dtype=dtype)),
-                   out_b=Tensor(zeros((channels,), dtype)))
+                   out_b=Tensor(np.zeros((channels,), dtype)))
 
 
 def _check_pair(x1: Tensor, x2: Tensor):

@@ -203,46 +203,32 @@ def standard_suite() -> list:
         return struct
 
     spec = PartitionSpec.build(4, 4, 2)
-    aparams = randomize(
-        RoutingAttentionParams.init(dim=4, heads=2,
-                                    rng=np.random.default_rng(11),
-                                    dtype=np.float64), seed=11)
 
-    def attn(p):
-        ap = substitute(aparams, p)
-        y = routed_attention(p["x"], ap, spec, top_k=2)
-        return T.sum_(T.mul(y, y))
+    def composite(name, struct, inputs, run):
+        # loss sum(y*y) of y = run(p, struct with p's arrays); the check
+        # perturbs ``inputs`` and every parameter of ``struct``
+        def fn(p):
+            y = run(p, substitute(struct, p))
+            return T.sum_(T.mul(y, y))
+        entry(name, fn, {**inputs, **named_arrays(struct)})
 
-    attn_params = {"x": rng.standard_normal((2, 4, 4, 4))}
-    attn_params.update(named_arrays(aparams))
-    entry("routed_attention", attn, attn_params)
-
-    bparams = randomize(
-        BlockParams.init(dim=4, heads=2, rng=np.random.default_rng(13),
-                         dtype=np.float64), seed=13)
-
-    def block(p):
-        bp = substitute(bparams, p)
-        y = block_forward(p["x"], bp, spec, top_k=2)
-        return T.sum_(T.mul(y, y))
-
-    block_params = {"x": rng.standard_normal((1, 4, 4, 4))}
-    block_params.update(named_arrays(bparams))
-    entry("block", block, block_params)
-
-    fparams = randomize(
-        FusionParams.init(channels=4, rng=np.random.default_rng(17),
-                          dtype=np.float64), seed=17)
-
-    def fuse(p):
-        fp = substitute(fparams, p)
-        y = channel_spatial_fuse(p["x1"], p["x2"], fp, training=True)
-        return T.sum_(T.mul(y, y))
-
-    fuse_params = {"x1": rng.standard_normal((2, 4, 4, 4)),
-                   "x2": rng.standard_normal((2, 4, 4, 4))}
-    fuse_params.update(named_arrays(fparams))
-    entry("channel_spatial_fuse", fuse, fuse_params)
+    composite("routed_attention",
+              randomize(RoutingAttentionParams.init(
+                  dim=4, heads=2, rng=np.random.default_rng(11),
+                  dtype=np.float64), seed=11),
+              {"x": rng.standard_normal((2, 4, 4, 4))},
+              lambda p, ap: routed_attention(p["x"], ap, spec, top_k=2))
+    composite("block",
+              randomize(BlockParams.init(dim=4, heads=2, rng=np.random.default_rng(13),
+                                         dtype=np.float64), seed=13),
+              {"x": rng.standard_normal((1, 4, 4, 4))},
+              lambda p, bp: block_forward(p["x"], bp, spec, top_k=2))
+    composite("channel_spatial_fuse",
+              randomize(FusionParams.init(channels=4, rng=np.random.default_rng(17),
+                                          dtype=np.float64), seed=17),
+              {"x1": rng.standard_normal((2, 4, 4, 4)),
+               "x2": rng.standard_normal((2, 4, 4, 4))},
+              lambda p, fp: channel_spatial_fuse(p["x1"], p["x2"], fp, training=True))
 
     labels = rng.integers(0, 3, size=(2, 4, 4))
     onehot = np.eye(3)[labels]

@@ -40,7 +40,7 @@ from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      patch_embed, patch_expand, patch_merge, pixel_shuffle)
 from .fusion import (GATE_KERNEL, GATE_REDUCTION, FusionParams,
                      PlainFuseParams, channel_spatial_fuse, plain_fuse)
-from .params import bind, trunc_normal, walk_buffers, walk_tensors, zeros
+from .params import bind, trunc_normal, walk_buffers, walk_tensors
 from .tensor import Tape, Tensor, dense
 
 HEAD_DIM = 32
@@ -212,7 +212,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         fuses=fuses,
         final_expand=PatchExpandParams.init(c, 4, rng, dtype),
         head_w=Tensor(trunc_normal(rng, (c, cfg.num_classes), dtype=dtype)),
-        head_b=Tensor(zeros((cfg.num_classes,), dtype)),
+        head_b=Tensor(np.zeros((cfg.num_classes,), dtype)),
     )
     return Model(cfg, params)
 

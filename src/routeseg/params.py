@@ -120,11 +120,3 @@ def conv_init(rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int,
     for i in range(0, flat.size, _DRAW):
         flat[i:i + _DRAW] = rng.normal(0.0, std, size=min(_DRAW, flat.size - i))
     return out
-
-
-def zeros(shape, dtype=np.float32) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
-def ones(shape, dtype=np.float32) -> np.ndarray:
-    return np.ones(shape, dtype=dtype)

@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+import routeseg.cli
 import routeseg.gradcheck
 import routeseg.tensor
 import routeseg.train
 from routeseg.cli import main
-from routeseg.config import parse_config_text
-from routeseg.data import (read_pnm, save_dataset, synth_dataset,
+from routeseg.config import effective_text, parse_config_text
+from routeseg.data import (make_splits, read_pnm, save_dataset, synth_dataset,
                            write_split_file)
 from routeseg.gradcheck import GradCheckReport
 from routeseg.model import build_model, read_records, save_model, write_records
@@ -179,6 +181,31 @@ def test_train_without_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_train_stop_after_epochs_below_one_is_usage_error(tmp_path, epochs,
+                                                          capsys):
+    cfg = write(str(tmp_path / "quick.cfg"), QUICK_CFG)
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out),
+                 "--stop-after-epochs", epochs]) == 2
+    assert f"--stop-after-epochs must be >= 1, got {epochs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_names_only_the_checkpoints_it_wrote(tmp_path, capsys):
+    cfg = write(str(tmp_path / "quick.cfg"),
+                QUICK_CFG.replace("eval_every = 1", "eval_every = 2"))
+    out = str(tmp_path / "o")
+    best, last = os.path.join(out, "best.ckpt"), os.path.join(out, "last.ckpt")
+    # stopped before the first validation at epoch 2: no best.ckpt yet
+    assert main(["train", "--config", cfg, "--out", out,
+                 "--stop-after-epochs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {last}"
+    assert not os.path.exists(best)
+    assert main(["train", "--config", cfg, "--out", out, "--resume", last]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {best} and {last}"
+
+
 def test_train_on_pixels_above_maxval_is_data_error(tmp_path, capsys):
     samples = synth_dataset(2, 32, 2, seed=19, in_channels=1)
     root = str(tmp_path / "data")
@@ -276,10 +303,76 @@ def test_eval_split_filtering(quick_run, capsys):
     assert doc["num_images"] == 2
 
 
-def test_eval_split_without_file_is_config_error(quick_run, capsys):
+def with_run_config(quick_run, path, **changes):
+    """quick_run's best.ckpt with ``changes`` made to its embedded run config."""
+    text, records = read_records(quick_run["ckpt"])
+    run = dataclasses.replace(parse_config_text(text), **changes)
+    write_records(path, effective_text(run), records)
+    return path
+
+
+def test_eval_of_a_synthetic_run_uses_its_samples(quick_run, capsys):
+    log = [json.loads(l) for l in
+           slurp(os.path.join(quick_run["out"], "train_log.jsonl")).splitlines()]
+    best = max(r["fg_dsc"] for r in log if r["kind"] == "val")
+    assert main(["eval", "--checkpoint", quick_run["ckpt"]]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # split_fractions = 1,0,0: validation ran on all four synthetic samples
+    assert doc["num_images"] == 4
+    assert doc["foreground_means"]["dsc"] == best
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_eval_split_selects_what_make_splits_assigns(quick_run, tmp_path,
+                                                     monkeypatch, split, capsys):
+    samples = synth_dataset(8, 32, 2, seed=29, in_channels=1)
+    root = str(tmp_path / "data")
+    save_dataset(samples, root)
+    fractions = (0.5, 0.25, 0.25)
+    ckpt = with_run_config(quick_run, str(tmp_path / "f.ckpt"),
+                           split_fractions=fractions)
+    seen = []
+    real = routeseg.cli.evaluate
+    monkeypatch.setattr(routeseg.cli, "evaluate", lambda model, got, **kw:
+                        seen.append([s.id for s in got]) or real(model, got, **kw))
+    assert main(["eval", "--checkpoint", ckpt, "--data", root,
+                 "--split", split]) == 0
+    assignment = make_splits([s.id for s in samples], fractions, seed=3)
+    want = [s.id for s in samples if assignment[s.id] == split]
+    assert len(want) == 2 and seen == [want]
+
+
+def test_eval_split_without_file_uses_the_runs_splits(quick_run, tmp_path,
+                                                      capsys):
+    ckpt = with_run_config(quick_run, str(tmp_path / "half.ckpt"),
+                           split_fractions=(0.5, 0.5, 0.0))
+    assert main(["eval", "--checkpoint", ckpt,
+                 "--data", quick_run["data"], "--split", "val"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["num_images"] == 2
+    # quick_run's own fractions (1,0,0) leave the validation split empty
     assert main(["eval", "--checkpoint", quick_run["ckpt"],
-                 "--data", quick_run["data"], "--split", "val"]) == 2
-    assert "needs a split file" in capsys.readouterr().err
+                 "--data", quick_run["data"], "--split", "val"]) == 3
+    assert "split 'val' selects no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last,message", [(None, "no split for id"),
+                                          ("holdout", "unknown split name")],
+                         ids=["missing", "unknown"])
+def test_eval_split_file_must_place_every_sample(quick_run, tmp_path, last,
+                                                 message, capsys):
+    ids = quick_run["ids"]
+    splits = {sid: "val" for sid in ids[:-1]}
+    if last:
+        splits[ids[-1]] = last
+    split_path = str(tmp_path / "splits.tsv")
+    write_split_file(split_path, splits)
+    assert main(["eval", "--checkpoint", quick_run["ckpt"], "--data",
+                 quick_run["data"], "--split", "val",
+                 "--split-file", split_path]) == 3
+    assert message in capsys.readouterr().err
+    # --split all reads no split file
+    assert main(["eval", "--checkpoint", quick_run["ckpt"], "--data",
+                 quick_run["data"], "--split-file", split_path]) == 0
 
 
 def test_eval_missing_checkpoint_is_data_error(tmp_path, capsys):
@@ -288,8 +381,10 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_eval_without_any_dataset_is_data_error(quick_run, capsys):
-    assert main(["eval", "--checkpoint", quick_run["ckpt"]]) == 3
+def test_eval_without_any_dataset_is_data_error(quick_run, tmp_path, capsys):
+    ckpt = with_run_config(quick_run, str(tmp_path / "nodata.ckpt"),
+                           synthetic=False)
+    assert main(["eval", "--checkpoint", ckpt]) == 3
     assert "no dataset" in capsys.readouterr().err
 
 
