@@ -30,7 +30,7 @@ from .data import (SPLIT_NAMES, DataError, SegSample, kfold_splits,
 from .model import (CheckpointError, ConfigError, Model, build_model,
                     count_flops, count_params, load_into_model, read_records)
 from .tensor import Tensor, softmax_lastdim
-from .train import NumericAbort, evaluate, train_loop
+from .train import NumericAbort, evaluate, predict, train_loop
 
 PARAM_TARGETS = [
     ("base with channel-spatial fusion", 96, True, 50.76e6),
@@ -42,6 +42,15 @@ PARAM_TOLERANCE = 0.05
 
 def _say(*parts):
     print(" ".join(str(p) for p in parts))
+
+
+def _emit(text: str, out: Optional[str]):
+    """Print a command's result, after writing it to ``out`` when given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+        _say(f"wrote {out}")
+    print(text, end="")
 
 
 def _split_samples(samples: List[SegSample], run: RunConfig
@@ -117,6 +126,12 @@ def cmd_train(args) -> int:
     if args.stop_after_epochs is not None:
         _at_least_one(stop_after_epochs=args.stop_after_epochs)
     run = load_config(args.config)
+    best, last = (os.path.join(args.out, n) for n in ("best.ckpt", "last.ckpt"))
+    if args.resume is None:
+        for name in ("best.ckpt", "last.ckpt", "train_log.jsonl"):
+            if os.path.exists(os.path.join(args.out, name)):
+                raise DataError(f"{args.out} holds another run's {name}: resume "
+                                "that run with --resume or train into another --out")
     os.makedirs(args.out, exist_ok=True)
     text = effective_text(run)
     with open(os.path.join(args.out, "effective.cfg"), "w", encoding="utf-8") as f:
@@ -135,16 +150,20 @@ def cmd_train(args) -> int:
         eval_every=run.eval_every, aug=run.aug if run.augment else None,
         config_text=text, resume_from=args.resume,
         stop_after_epochs=args.stop_after_epochs)
-    _say(f"done: {state.epoch} epochs, {state.step} steps, "
-         f"best foreground DSC {state.best_dsc:.4f}")
-    # a run stopped before its first validation has no best.ckpt
-    paths = [os.path.join(args.out, n) for n in ("best.ckpt", "last.ckpt")]
-    _say("wrote", " and ".join(p for p in paths if os.path.exists(p)))
+    # a run stopped before its first validation has no best.ckpt; a best
+    # score of -1 means every validation found its foreground DSC undefined
+    if not os.path.exists(best):
+        score = "no validation ran"
+    elif state.best_dsc < 0:
+        score = "foreground DSC undefined at every validation"
+    else:
+        score = f"best foreground DSC {state.best_dsc:.4f}"
+    _say(f"done: {state.epoch} epochs, {state.step} steps, {score}")
+    _say("wrote", " and ".join(p for p in (best, last) if os.path.exists(p)))
     return 0
 
 
 def cmd_eval(args) -> int:
-    _at_least_one(batch_size=args.batch_size)
     model, run = _load_checkpoint_model(args.checkpoint)
     if args.data:
         run = dataclasses.replace(run, synthetic=False, data_root=args.data)
@@ -155,30 +174,24 @@ def cmd_eval(args) -> int:
         samples = _split_samples(samples, run)[args.split]
         if not samples:
             raise DataError(f"split {args.split!r} selects no samples")
-    report = evaluate(model, samples, batch_size=args.batch_size,
+    report = evaluate(model, samples,
                       with_hausdorff=args.hausdorff or run.eval_hausdorff)
-    doc = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(doc + "\n")
-        _say(f"wrote {args.out}")
-    print(doc)
+    _emit(report.to_json() + "\n", args.out)
     return 0
 
 
 def cmd_infer(args) -> int:
     model, run = _load_checkpoint_model(args.checkpoint)
-    image = _read_input_image(args.image, run)
-    logits = model.forward(Tensor(image[None]), training=False)
-    probs = softmax_lastdim(Tensor(logits.data[0].astype(np.float64))).data
-    pred = np.argmax(probs, axis=-1)
     if run.model.num_classes > 256:
         raise ConfigError("cannot write class indices above 255 as PGM")
+    image = _read_input_image(args.image, run)
+    logits = predict(model, image)
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "pred.pgm")
-    write_pgm(pred_path, pred.astype(np.uint8))
+    write_pgm(pred_path, np.argmax(logits, axis=-1).astype(np.uint8))
     written = [pred_path]
     if args.probs:
+        probs = softmax_lastdim(Tensor(logits.astype(np.float64))).data
         for k in range(run.model.num_classes):
             p = os.path.join(args.out, f"prob_{k:02d}.pgm")
             write_pgm(p, np.rint(probs[:, :, k] * 255.0).astype(np.uint8))
@@ -232,12 +245,7 @@ def _report_text(run: RunConfig) -> str:
 
 def cmd_report(args) -> int:
     run = load_config(args.config)
-    text = _report_text(run)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        _say(f"wrote {args.out}")
-    print(text, end="")
+    _emit(_report_text(run), args.out)
     return 0
 
 
@@ -283,12 +291,7 @@ def cmd_bench_scaling(args) -> int:
     lines.append(f"fitted exponent, routed minimum: {table['bra_exponent']:.4f} "
                  f"(4/3 = 1.3333)")
     lines.append(f"fitted exponent, full attention: {table['full_exponent']:.4f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        _say(f"wrote {args.out}")
-    print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -305,7 +308,7 @@ def cmd_dump_attention(args) -> int:
                           f"for stage {args.stage}")
     image = _read_input_image(args.image, run)
     with recording(RoutingRecord()) as rec:
-        model.forward(Tensor(image[None]), training=False)
+        predict(model, image)
     first = sum(model.cfg.stage_depths[:stage_idx])
     trace = rec.traces[first + args.block % depth]
     spec = trace.spec
@@ -408,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="all",
                    choices=("all", "train", "val", "test"))
     p.add_argument("--split-file", default=None)
-    p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--hausdorff", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_eval)

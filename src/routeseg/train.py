@@ -120,20 +120,15 @@ def _cut_log(path: str, state: TrainState):
     os.replace(tmp, path)
 
 
-def predict_batches(model: Model, samples: Sequence[SegSample],
-                    batch_size: int = 8) -> List[np.ndarray]:
-    """Argmax class maps, one [H, W] int array per sample, in input order."""
-    preds: List[np.ndarray] = []
-    for i in range(0, len(samples), batch_size):
-        x, _ = stack_batch(samples[i:i + batch_size])
-        logits = model.forward(Tensor(x), training=False)
-        preds.extend(np.argmax(logits.data, axis=-1).astype(np.int64))
-    return preds
+def predict(model: Model, image: np.ndarray) -> np.ndarray:
+    """Eval-mode logits [H, W, K] of one [H, W, C] image forwarded alone; every
+    prediction outside training comes from here, so it has one set of bits."""
+    return model.forward(Tensor(image[None]), training=False).data[0]
 
 
-def evaluate(model: Model, samples: Sequence[SegSample], batch_size: int = 8,
+def evaluate(model: Model, samples: Sequence[SegSample],
              with_hausdorff: bool = False) -> MetricsReport:
-    preds = predict_batches(model, samples, batch_size)
+    preds = [np.argmax(predict(model, s.image), axis=-1) for s in samples]
     targets = [s.mask for s in samples]
     return evaluate_predictions(preds, targets, model.cfg.num_classes,
                                 with_hausdorff=with_hausdorff)

@@ -14,7 +14,10 @@ from routeseg.config import effective_text, parse_config_text
 from routeseg.data import (make_splits, read_pnm, save_dataset, synth_dataset,
                            write_split_file)
 from routeseg.gradcheck import GradCheckReport
+from routeseg.metrics import confusion_counts
 from routeseg.model import build_model, read_records, save_model, write_records
+
+from conftest import CONFIGS_DIR
 
 QUICK_CFG = """\
 in_channels = 1
@@ -204,6 +207,53 @@ def test_train_names_only_the_checkpoints_it_wrote(tmp_path, capsys):
     assert not os.path.exists(best)
     assert main(["train", "--config", cfg, "--out", out, "--resume", last]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {best} and {last}"
+
+
+def test_fresh_train_into_another_runs_out_is_data_error(tmp_path, capsys):
+    with open(os.path.join(CONFIGS_DIR, "micro64.cfg"), encoding="utf-8") as f:
+        micro64 = f.read().replace("epochs = 200", "epochs = 2")
+    first = write(str(tmp_path / "first.cfg"),
+                  micro64.replace("eval_every = 10", "eval_every = 1"))
+    second = write(str(tmp_path / "second.cfg"), micro64.replace(
+        "seed = 7", "seed = 5").replace("eval_every = 10", "eval_every = 2"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", first, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"best.ckpt", "last.ckpt", "train_log.jsonl",
+                           "effective.cfg"}
+    capsys.readouterr()
+    assert main(["train", "--config", second, "--out", str(out),
+                 "--stop-after-epochs", "1"]) == 3
+    assert "holds another run's best.ckpt" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_train_without_validation_says_so(tmp_path, capsys):
+    cfg = write(str(tmp_path / "quick.cfg"),
+                QUICK_CFG.replace("eval_every = 1", "eval_every = 2"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--stop-after-epochs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == \
+        "done: 1 epochs, 1 steps, no validation ran"
+
+
+def test_train_with_undefined_foreground_dsc_says_so(tmp_path, monkeypatch,
+                                                     capsys):
+    # every validation scores all-background maps against all-background
+    # masks, so no foreground class has a DSC
+    real = routeseg.train.evaluate_predictions
+
+    def background_only(preds, targets, num_classes, **kw):
+        blank = [np.zeros_like(t) for t in targets]
+        return real(blank, blank, num_classes, **kw)
+
+    monkeypatch.setattr(routeseg.train, "evaluate_predictions", background_only)
+    cfg = write(str(tmp_path / "quick.cfg"), QUICK_CFG)
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == \
+        "done: 3 epochs, 3 steps, foreground DSC undefined at every validation"
+    assert (out / "best.ckpt").exists()
 
 
 def test_train_on_pixels_above_maxval_is_data_error(tmp_path, capsys):
@@ -400,13 +450,6 @@ def test_eval_on_images_of_another_size_is_data_error(quick_run, tmp_path,
     assert "32x32" in err
 
 
-@pytest.mark.parametrize("size", ["0", "-1"])
-def test_eval_batch_size_below_one_is_usage_error(quick_run, size, capsys):
-    assert main(["eval", "--checkpoint", quick_run["ckpt"],
-                 "--data", quick_run["data"], "--batch-size", size]) == 2
-    assert f"--batch-size must be >= 1, got {size}" in capsys.readouterr().err
-
-
 def test_eval_hausdorff_flag_populates_field(quick_run, capsys):
     code = main(["eval", "--checkpoint", quick_run["ckpt"],
                  "--data", quick_run["data"], "--hausdorff"])
@@ -450,6 +493,23 @@ def test_infer_writes_consistent_prediction_and_probs(quick_run, tmp_path,
     qmax = qmaps.max(axis=0)
     chosen = qmaps[pred, np.arange(32)[:, None], np.arange(32)[None, :]]
     np.testing.assert_array_equal(chosen, qmax)
+
+
+def test_infer_on_every_image_adds_up_to_evals_counts(quick_run, tmp_path,
+                                                      capsys):
+    assert main(["eval", "--checkpoint", quick_run["ckpt"],
+                 "--data", quick_run["data"]]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    counts = np.zeros((2, 4), dtype=np.int64)
+    for sid in quick_run["ids"]:
+        out = str(tmp_path / sid)
+        assert main(["infer", "--checkpoint", quick_run["ckpt"], "--image",
+                     os.path.join(quick_run["data"], "images", sid + ".pgm"),
+                     "--out", out]) == 0
+        mask = read_pnm(os.path.join(quick_run["data"], "masks", sid + ".pgm"))
+        counts += confusion_counts(read_pnm(os.path.join(out, "pred.pgm")),
+                                   mask, 2)
+    assert counts.tolist() == doc["counts"]
 
 
 def test_infer_is_bit_reproducible(quick_run, tmp_path, capsys):

@@ -12,12 +12,13 @@ import pytest
 
 import routeseg.train
 from routeseg.config import load_config
-from routeseg.data import AugmentConfig, synth_dataset
+from routeseg.data import AugmentConfig, stack_batch, synth_dataset
 from routeseg.model import CheckpointError, build_model, read_records
 from routeseg.optim import OptimConfig
 from routeseg.params import named_arrays
-from routeseg.train import (NumericAbort, TrainState, evaluate,
-                            predict_batches, train_loop)
+from routeseg.tensor import Tensor
+from routeseg.train import (NumericAbort, TrainState, evaluate, predict,
+                            train_loop)
 
 from conftest import fds_open_on, micro_config, needs_proc_fd
 
@@ -331,21 +332,21 @@ def test_train_loop_input_validation():
         train_loop(model, samples, [], tiny_optim(), loss_lambda=1.5)
 
 
-def test_predict_batches_matches_batchwise_forward():
+def test_predict_is_the_forward_of_the_image_alone():
     samples = synth_dataset(5, 32, 2, seed=17, in_channels=1)
     model = build_model(micro_config(), seed=4)
-    preds = predict_batches(model, samples, batch_size=2)
-    assert len(preds) == 5
-    assert all(p.shape == (32, 32) and p.dtype == np.int64 for p in preds)
-    solo = predict_batches(model, samples, batch_size=1)
-    for a, b in zip(preds, solo):
-        np.testing.assert_array_equal(a, b)
+    for s in samples:
+        logits = predict(model, s.image)
+        assert logits.shape == (32, 32, 2)
+        x, _ = stack_batch([s])
+        alone = model.forward(Tensor(x), training=False).data[0]
+        assert np.array_equal(logits, alone)
 
 
 def test_evaluate_wraps_metrics_report():
     samples = synth_dataset(3, 32, 2, seed=17, in_channels=1)
     model = build_model(micro_config(), seed=4)
-    report = evaluate(model, samples, batch_size=2)
+    report = evaluate(model, samples)
     assert report.num_images == 3 and report.num_classes == 2
     assert report.means["accuracy"] is not None
 
