@@ -3,14 +3,16 @@
 Unknown keys and duplicate keys are rejected naming the offender; the
 retired ``threads`` key, which older checkpoints embed, is ignored. The
 effective (defaults-merged) configuration serializes back to the same
-format via :func:`effective_text`; parsing that text reproduces the
-config exactly, and it is the text embedded in checkpoints and echoed
-into output directories.
+format via :func:`effective_text`; parsing that text reproduces any
+``RunConfig`` exactly, parsed or built in code, and it is the text
+embedded in checkpoints and echoed into output directories. Every config
+class checks its values when it is built, so a config that exists is
+valid.
 
 Each key is one ``_KEYS`` row naming the field it sets; its default is
-that field's dataclass default. Optimizer keys default to the selected
-regime's preset (:meth:`OptimConfig.preset`); explicit keys override the
-preset.
+that field's dataclass default. The ``optimizer`` key sets ``optim.kind``,
+and the other optimizer keys default to that regime's preset
+(:meth:`OptimConfig.preset`); explicit keys override the preset.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .data import AugmentConfig
 from .model import ConfigError, ModelConfig
@@ -51,32 +53,20 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_ints(raw: str) -> Tuple[int, ...]:
-    return tuple(_parse_int(p.strip()) for p in raw.split(","))
-
-
-def _parse_floats(raw: str) -> Tuple[float, ...]:
-    return tuple(_parse_float(p.strip()) for p in raw.split(","))
-
-
-def _parse_bools(raw: str) -> Tuple[bool, ...]:
-    return tuple(_parse_bool(p.strip()) for p in raw.split(","))
-
-
-def _parse_auto_ints(raw: str) -> Optional[Tuple[int, ...]]:
-    return None if raw.lower() == "auto" else _parse_ints(raw)
-
-
-def _parse_auto_int(raw: str) -> Optional[int]:
-    return None if raw.lower() == "auto" else _parse_int(raw)
-
-
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw not in options:
             raise ConfigError(f"expected one of {options}, got {raw!r}")
         return raw
     return parse
+
+
+def _items(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda raw: tuple(parse(p.strip()) for p in raw.split(","))
+
+
+def _auto(parse: Callable[[str], object]) -> Callable[[str], object]:
+    return lambda raw: None if raw.lower() == "auto" else parse(raw)
 
 
 def _fmt(value) -> str:
@@ -105,21 +95,21 @@ _KEYS: List[_Key] = [
     _Key("num_classes", "model.num_classes", _parse_int,
          "segmentation classes incl. background"),
     _Key("base_channels", "model.base_channels", _parse_int, "stage-1 channel count C"),
-    _Key("stage_depths", "model.stage_depths", _parse_ints,
+    _Key("stage_depths", "model.stage_depths", _items(_parse_int),
          "blocks per stage, encoder through decoder"),
-    _Key("top_k_schedule", "model.top_k_schedule", _parse_auto_ints,
+    _Key("top_k_schedule", "model.top_k_schedule", _auto(_items(_parse_int)),
          "routed regions kept per stage; auto = 2,4,8,S^2,8,4,2"),
     _Key("s", "model.s", _parse_int, "region partition factor S"),
     _Key("input_hw", "model.input_hw", _parse_int, "square input side, multiple of 32"),
     _Key("sccsa_enabled", "model.sccsa", _parse_bool,
          "channel+spatial skip fusion (plain concat fusion when false)"),
-    _Key("skip_mask", "model.skip_mask", _parse_bools,
+    _Key("skip_mask", "model.skip_mask", _items(_parse_bool),
          "skip connections at 1/4, 1/8, 1/16 scale"),
     _Key("scale_mode", "model.scale_mode", _choice("per_head", "model_dim"),
          "attention logit scaling convention"),
     _Key("qkv_bias", "model.qkv_bias", _parse_bool, "bias terms on q/k/v projections"),
     # optimizer
-    _Key("optimizer", "optimizer_kind", _choice("sgd", "adam"), "training regime preset"),
+    _Key("optimizer", "optim.kind", _choice("sgd", "adam"), "training regime preset"),
     _Key("lr", "optim.lr", _parse_float, "initial learning rate"),
     _Key("momentum", "optim.momentum", _parse_float, "sgd momentum"),
     _Key("weight_decay", "optim.weight_decay", _parse_float, "coupled weight decay"),
@@ -139,14 +129,14 @@ _KEYS: List[_Key] = [
     _Key("p_vflip", "aug.p_vflip", _parse_float, "vertical flip probability"),
     _Key("p_rot", "aug.p_rot", _parse_float, "right-angle rotation probability"),
     _Key("p_cutout", "aug.p_cutout", _parse_float, "cutout probability"),
-    _Key("cutout_lo", "aug.cutout_lo", _parse_auto_int, "min cutout side; auto = hw/16"),
-    _Key("cutout_hi", "aug.cutout_hi", _parse_auto_int, "max cutout side; auto = hw/4"),
+    _Key("cutout_lo", "aug.cutout_lo", _auto(_parse_int), "min cutout side; auto = hw/16"),
+    _Key("cutout_hi", "aug.cutout_hi", _auto(_parse_int), "max cutout side; auto = hw/4"),
     # data
     _Key("data_root", "data_root", str, "dataset directory (images/ + masks/)"),
     _Key("synthetic", "synthetic", _parse_bool, "generate data instead of loading"),
     _Key("synth_n", "synth_n", _parse_int, "synthetic sample count"),
     _Key("split_file", "split_file", str, "id<TAB>split assignments; empty = derive"),
-    _Key("split_fractions", "split_fractions", _parse_floats,
+    _Key("split_fractions", "split_fractions", _items(_parse_float),
          "train/val/test fractions when deriving splits"),
     _Key("kfold", "kfold", _parse_int, "k for k-fold validation splits; 0 = off"),
     _Key("fold", "fold", _parse_int, "validation fold index when kfold > 0"),
@@ -167,7 +157,6 @@ class RunConfig:
     model: ModelConfig
     optim: OptimConfig
     aug: AugmentConfig
-    optimizer_kind: str = "sgd"
     augment: bool = True
     loss_lambda: float = 0.6
     data_root: str = ""
@@ -181,13 +170,7 @@ class RunConfig:
     eval_every: int = 25
     eval_hausdorff: bool = False
 
-    def validate(self) -> "RunConfig":
-        self.model.validate()
-        self.optim.validate()
-        try:
-            self.aug.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    def __post_init__(self):
         lo, hi = self.aug.cutout_bounds(self.model.input_hw)
         for key, side in (("cutout_lo", lo), ("cutout_hi", hi)):
             if side > self.model.input_hw:
@@ -214,7 +197,6 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        return self
 
 
 def _assemble(values: Dict[str, object]) -> RunConfig:
@@ -224,11 +206,10 @@ def _assemble(values: Dict[str, object]) -> RunConfig:
     for name, value in values.items():
         prefix, _, attr = _BY_NAME[name].field.rpartition(".")
         groups[prefix][attr] = value
-    run = groups[""]
-    optim = OptimConfig.preset(run.get("optimizer_kind", RunConfig.optimizer_kind))
+    optim = OptimConfig.preset(groups["optim"].get("kind", OptimConfig.kind))
     return RunConfig(model=ModelConfig(**groups["model"]),
                      optim=replace(optim, **groups["optim"]),
-                     aug=AugmentConfig(**groups["aug"]), **run).validate()
+                     aug=AugmentConfig(**groups["aug"]), **groups[""])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -278,15 +259,15 @@ def effective_text(cfg: RunConfig) -> str:
 def describe_keys() -> str:
     """Human-readable key table for --help-config.
 
-    An optimizer key's default depends on the preset, so its row shows
-    both: ``sgd 0.05 / adam 0.0005``. Columns are sized to their widest
-    entry, so every description starts in the same column.
+    Every optimizer key but ``optimizer`` has a per-preset default, so
+    its row shows both: ``sgd 0.05 / adam 0.0005``. Columns are sized to
+    their widest entry, so every description starts in the same column.
     """
     defaults = default_config()
     presets = [(kind, OptimConfig.preset(kind)) for kind in ("sgd", "adam")]
 
     def default(field: str) -> str:
-        if not field.startswith("optim."):
+        if field == "optim.kind" or not field.startswith("optim."):
             return _fmt(attrgetter(field)(defaults))
         get = attrgetter(field.removeprefix("optim."))
         return " / ".join(f"{kind} {_fmt(get(p))}" for kind, p in presets)

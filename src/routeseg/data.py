@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import ConfigError
+
 log = logging.getLogger(__name__)
 
 MASK64 = (1 << 64) - 1
@@ -50,7 +52,8 @@ class SplitMix64:
         self._state = seed & MASK64
 
     @staticmethod
-    def _mix(z: int) -> int:
+    def _mix(z):
+        """Mix an int, or a uint64 array elementwise (it wraps mod 2**64)."""
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
@@ -64,10 +67,7 @@ class SplitMix64:
         counters = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
                     + np.uint64(self._state))
         self._state = (self._state + n * _GAMMA) & MASK64
-        z = counters
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return self._mix(counters)
 
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -382,15 +382,15 @@ class AugmentConfig:
     cutout_lo: Optional[int] = None      # default hw // 16
     cutout_hi: Optional[int] = None      # default hw // 4
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("p_hflip", "p_vflip", "p_rot", "p_cutout"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise DataError(f"{name} must be in [0, 1], got {p}")
+                raise ConfigError(f"{name} must be in [0, 1], got {p}")
         for name in ("cutout_lo", "cutout_hi"):
             side = getattr(self, name)
             if side is not None and side < 1:
-                raise DataError(f"{name} must be >= 1, got {side}")
+                raise ConfigError(f"{name} must be >= 1, got {side}")
 
     def cutout_bounds(self, side: int) -> Tuple[int, int]:
         """Effective (lo, hi) cutout sides on an image whose short side is ``side``."""

@@ -65,7 +65,7 @@ class ModelConfig:
     scale_mode: str = "per_head"
     qkv_bias: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.in_channels < 1:
@@ -184,7 +184,6 @@ class Model:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    cfg.validate()
     rng = np.random.default_rng(seed)
     geometry = cfg.stage_geometry()
 
@@ -257,7 +256,6 @@ FLOP_CONVENTION = (
 
 def count_flops(cfg: ModelConfig) -> Dict[str, object]:
     """Analytic MACs for one forward at batch 1. See FLOP_CONVENTION."""
-    cfg.validate()
     hw = cfg.input_hw
     c = cfg.base_channels
     geometry = cfg.stage_geometry()

@@ -44,7 +44,7 @@ class OptimConfig:
                                schedule="cosine", epochs=200, batch_size=16)
         raise ConfigError(f"unknown optimizer preset {kind!r}")
 
-    def validate(self) -> "OptimConfig":
+    def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in ("constant", "cosine"):
@@ -63,7 +63,6 @@ class OptimConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(
                 f"epochs/batch_size must be >= 1, got {self.epochs}/{self.batch_size}")
-        return self
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -76,7 +75,7 @@ class Optimizer:
     """Holds per-parameter buffers keyed by name; updates in place."""
 
     def __init__(self, cfg: OptimConfig, named_params: Iterable[Tuple[str, Tensor]]):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.named: List[Tuple[str, Tensor]] = list(named_params)
         seen = set()
         for name, _ in self.named:

@@ -65,10 +65,10 @@ def bind(obj, tape: Tape):
     """Rebuild a structure with all Tensors watched on ``tape``.
 
     Buffers and scalars pass through by reference, so in-place running
-    stat updates made through the bound copy reach the original.
+    stat updates made through the bound copy reach the original. A Tensor
+    that is already bound raises the tape's ``ValueError``.
     """
-    return map_tensors(obj, lambda _, t: tape.watch(Tensor(t.data))
-                       if t.tape is None else t)
+    return map_tensors(obj, lambda _, t: tape.watch(t))
 
 
 def named_arrays(obj) -> dict:

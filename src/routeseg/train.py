@@ -151,7 +151,6 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     ``stop_after_epochs`` interrupts the run early without altering the
     schedule, so resuming from its last.ckpt continues bit-exactly.
     """
-    ocfg.validate()
     if not 0.0 <= loss_lambda <= 1.0:
         raise ValueError(f"loss_lambda must sit in [0, 1], got {loss_lambda}")
     if not train_samples:

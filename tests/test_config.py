@@ -35,7 +35,7 @@ def test_empty_text_yields_full_defaults():
     assert run.model.stage_depths == (2, 2, 8, 0, 8, 2, 2)
     assert run.model.input_hw == 224
     assert run.model.sccsa is True
-    assert run.optimizer_kind == "sgd"
+    assert run.optim.kind == "sgd"
     assert run.optim.lr == 0.05 and run.optim.momentum == 0.9
     assert run.optim.schedule == "constant" and run.optim.epochs == 400
     assert run.loss_lambda == 0.6
@@ -91,6 +91,29 @@ def test_shipped_configs_round_trip(path):
     assert effective_text(again) == text
 
 
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_code_built_config_round_trips(kind):
+    run = dataclasses.replace(default_config(), optim=OptimConfig.preset(kind))
+    assert parse_config_text(effective_text(run)) == run
+
+
+def _run_config(**kw):
+    return RunConfig(ModelConfig(), OptimConfig(), AugmentConfig(), **kw)
+
+
+@pytest.mark.parametrize("build,bad,msg", [
+    (ModelConfig, dict(s=0), "partition factor"),
+    (OptimConfig, dict(lr=0.0), "lr must be positive"),
+    (AugmentConfig, dict(p_rot=1.5), "p_rot must be in"),
+    (_run_config, dict(seed=-1), "seed must be nonnegative"),
+], ids=["model", "optim", "aug", "run"])
+def test_every_config_class_checks_when_built(build, bad, msg):
+    with pytest.raises(ConfigError, match=msg):
+        build(**bad)
+    with pytest.raises(ConfigError, match=msg):
+        dataclasses.replace(build(), **bad)
+
+
 def test_shipped_configs_are_found():
     assert len(SHIPPED_CONFIGS) >= 12
 
@@ -109,8 +132,7 @@ def test_retired_threads_key_is_ignored():
 def test_every_config_field_is_set_by_exactly_one_key():
     fields = [f"model.{f.name}" for f in dataclasses.fields(ModelConfig)]
     fields += [f"aug.{f.name}" for f in dataclasses.fields(AugmentConfig)]
-    fields += [f"optim.{f.name}" for f in dataclasses.fields(OptimConfig)
-               if f.name != "kind"]
+    fields += [f"optim.{f.name}" for f in dataclasses.fields(OptimConfig)]
     fields += [f.name for f in dataclasses.fields(RunConfig)
                if f.name not in ("model", "optim", "aug")]
     assert sorted(k.field for k in _KEYS) == sorted(fields)

@@ -10,6 +10,7 @@ from routeseg.data import (AugmentConfig, DataError, SegSample, SplitMix64,
                            read_split_file, save_dataset, stack_batch,
                            synth_dataset, to_unit_image, write_pgm, write_ppm,
                            write_split_file)
+from routeseg.model import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +348,9 @@ def test_cutout_touches_image_only():
 
 
 def test_augment_config_validation():
-    with pytest.raises(DataError, match="p_rot"):
-        AugmentConfig(p_rot=1.5).validate()
-    AugmentConfig().validate()
+    with pytest.raises(ConfigError, match="p_rot must be in"):
+        AugmentConfig(p_rot=1.5)
+    AugmentConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_bind_rebuilds_watched_copy_sharing_arrays():
     assert model.params.head_w.tape is None
 
 
+def test_bind_refuses_an_already_bound_structure():
+    # a second bind would mix two tapes in one forward
+    bound = build_model(micro_config()).bind(Tape())
+    with pytest.raises(ValueError, match="already bound"):
+        bind(bound.params, Tape())
+
+
 def test_substitute_replaces_by_name():
     model = build_model(micro_config())
     new = Tensor(np.ones_like(model.params.head_b.data))
@@ -108,7 +115,7 @@ def test_build_model_holds_no_more_than_its_parameters():
 
 
 def test_default_config_is_valid():
-    ModelConfig().validate()
+    ModelConfig()       # construction runs the checks
 
 
 @pytest.mark.parametrize("field,value,msg", [
@@ -127,9 +134,8 @@ def test_default_config_is_valid():
     ("scale_mode", "global", "scale_mode"),
 ])
 def test_config_validation_rejects(field, value, msg):
-    cfg = dataclasses.replace(ModelConfig(), **{field: value})
     with pytest.raises(ConfigError, match=msg):
-        cfg.validate()
+        dataclasses.replace(ModelConfig(), **{field: value})
 
 
 def test_stage_geometry_and_heads():

@@ -47,7 +47,7 @@ def test_presets():
 ])
 def test_config_validation(kw, msg):
     with pytest.raises(ConfigError, match=msg):
-        OptimConfig(**kw).validate()
+        OptimConfig(**kw)
 
 
 def test_cosine_schedule_endpoints_and_midpoint():
