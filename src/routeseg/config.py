@@ -23,6 +23,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Tuple
 
 from .data import AugmentConfig
+from .losses import check_loss_lambda
 from .model import ConfigError, ModelConfig
 from .optim import OptimConfig
 
@@ -178,9 +179,7 @@ class RunConfig:
         if lo > hi:
             raise ConfigError(f"cutout_lo {lo} exceeds cutout_hi {hi} at "
                               f"input_hw {self.model.input_hw}")
-        if not 0.0 <= self.loss_lambda <= 1.0:
-            raise ConfigError(f"loss_lambda must sit in [0, 1], "
-                              f"got {self.loss_lambda}")
+        check_loss_lambda(self.loss_lambda)
         if len(self.split_fractions) != 3:
             raise ConfigError("split_fractions wants exactly train,val,test")
         if any(f < 0 for f in self.split_fractions) \

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import ConfigError
 from .tensor import Tensor, add, clip, div, log, mul, neg, softmax_lastdim, sub, sum_, mean_
 
 
@@ -58,10 +59,15 @@ def cross_entropy_loss(probs: Tensor, target: Tensor) -> Tensor:
     return neg(mean_(add(pos, negterm)))
 
 
+def check_loss_lambda(lam: float):
+    """The dice weight of the hybrid loss must sit in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError(f"loss_lambda must sit in [0, 1], got {lam}")
+
+
 def hybrid_loss(logits: Tensor, target: Tensor, lam: float = 0.6) -> Tensor:
     """lam * dice + (1 - lam) * ce on softmaxed logits."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must sit in [0, 1], got {lam}")
+    check_loss_lambda(lam)
     probs = softmax_lastdim(logits)
     d = dice_loss(probs, target)
     c = cross_entropy_loss(probs, target)

@@ -129,19 +129,31 @@ class ModelParams:
     head_b: Tensor
 
 
-@dataclass
 class Model:
-    cfg: ModelConfig
-    params: ModelParams
+    """A config and its parameters.
 
-    def __post_init__(self):
+    A model from ``build_model`` draws its parameters on the first read of
+    ``params`` (so of ``records``, ``bind`` or ``forward``), unless
+    ``load_into_model`` has filled them."""
+
+    def __init__(self, cfg: ModelConfig, params: Optional[ModelParams]):
+        self.cfg = cfg
+        self._params = params
+        self._pending = None        # (seed, dtype) while undrawn
         # (partition, top_k) per stage, fixed by the config
-        self.partitions = self.cfg.partitions()
+        self.partitions = cfg.partitions()
+
+    @property
+    def params(self) -> ModelParams:
+        if self._params is None:
+            seed, dtype = self._pending
+            self._params = _init_params(self.cfg, np.random.default_rng(seed), dtype)
+        return self._params
 
     def bind(self, tape: Tape) -> "Model":
         """This model with every parameter watched on ``tape``."""
         bound = copy.copy(self)
-        bound.params = bind(self.params, tape)
+        bound._params = bind(self.params, tape)
         return bound
 
     def records(self) -> Dict[str, np.ndarray]:
@@ -184,7 +196,15 @@ class Model:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    rng = np.random.default_rng(seed)
+    """A model whose parameters are drawn from ``seed`` on first use."""
+    model = Model(cfg, None)
+    model._pending = seed, dtype
+    return model
+
+
+def _init_params(cfg: ModelConfig, rng: Optional[np.random.Generator],
+                dtype) -> ModelParams:
+    """The init drawn from ``rng`` in a fixed order; blank without ``rng``."""
     geometry = cfg.stage_geometry()
 
     stages = []
@@ -203,7 +223,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
              for (_, dim), enabled in zip(geometry[4:], reversed(cfg.skip_mask))]
 
     c = cfg.base_channels
-    params = ModelParams(
+    return ModelParams(
         embed=PatchEmbedParams.init(cfg.in_channels, c, rng, dtype),
         stages=stages,
         merges=merges,
@@ -213,7 +233,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         head_w=Tensor(trunc_normal(rng, (c, cfg.num_classes), dtype=dtype)),
         head_b=Tensor(np.zeros((cfg.num_classes,), dtype)),
     )
-    return Model(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -539,5 +558,12 @@ def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray
 
 
 def load_into_model(model: Model, records: Mapping[str, np.ndarray]):
-    """Copy every model parameter and buffer out of ``records``."""
-    take_records(records, model.records())
+    """Copy every model parameter and buffer out of ``records``. An undrawn
+    model never draws: blank parameters take the records and become its own
+    only once all are copied, so a refused load leaves it undrawn."""
+    if model._params is not None:
+        take_records(records, model.records())
+    else:
+        blank = Model(model.cfg, _init_params(model.cfg, None, model._pending[1]))
+        take_records(records, blank.records())
+        model._params = blank.params

@@ -90,7 +90,9 @@ def count_scalars(obj) -> int:
 
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """Normal(0, 0.02) with redraws outside +-0.04."""
+    """Normal(0, 0.02) with redraws outside +-0.04; blank if ``rng`` is None."""
+    if rng is None:
+        return np.empty(shape, dtype)
     std = 0.02
     out = rng.normal(0.0, std, size=shape)
     for _ in range(16):
@@ -112,10 +114,12 @@ def conv_init(rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int,
     Drawn into the output in pieces of ``_DRAW`` values. ``Generator.normal``
     gives the same stream in pieces as in one call, so every value equals
     ``rng.normal(0, std, size).astype(dtype)`` bit for bit, without a
-    float64 copy of the whole kernel.
+    float64 copy of the whole kernel. A None ``rng`` leaves it blank.
     """
-    std = math.sqrt(2.0 / (kh * kw * cin))
     out = np.empty((kh, kw, cin, cout), dtype=dtype)
+    if rng is None:
+        return out
+    std = math.sqrt(2.0 / (kh * kw * cin))
     flat = out.reshape(-1)
     for i in range(0, flat.size, _DRAW):
         flat[i:i + _DRAW] = rng.normal(0.0, std, size=min(_DRAW, flat.size - i))

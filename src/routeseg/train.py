@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 import numpy as np
 
 from .data import AugmentConfig, SegSample, SplitMix64, augment, derive_seed, stack_batch
-from .losses import cross_entropy_loss, dice_loss, one_hot
+from .losses import check_loss_lambda, cross_entropy_loss, dice_loss, one_hot
 from .metrics import MetricsReport, evaluate_predictions
 from .model import (CheckpointError, Model, read_records, save_model,
                     take_records)
@@ -151,8 +151,7 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     ``stop_after_epochs`` interrupts the run early without altering the
     schedule, so resuming from its last.ckpt continues bit-exactly.
     """
-    if not 0.0 <= loss_lambda <= 1.0:
-        raise ValueError(f"loss_lambda must sit in [0, 1], got {loss_lambda}")
+    check_loss_lambda(loss_lambda)
     if not train_samples:
         raise ValueError("no training samples")
     by_id = {s.id: s for s in train_samples}

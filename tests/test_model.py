@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import glob
+import hashlib
 import io
 import os
 import struct
@@ -13,11 +14,13 @@ import pytest
 
 import routeseg.attention as rs_attention
 import routeseg.blocks as rs_blocks
+import routeseg.cli as rs_cli
 import routeseg.fusion as rs_fusion
 import routeseg.model as rs_model
 import routeseg.params as rs_params
 from routeseg.attention import RoutingRecord, recording
-from routeseg.config import load_config
+from routeseg.config import effective_text, load_config, parse_config_text
+from routeseg.data import write_pgm
 from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             build_model, count_flops, count_params,
                             load_into_model, read_records, save_model,
@@ -100,6 +103,7 @@ def test_build_model_holds_no_more_than_its_parameters():
     tracemalloc.start()
     try:
         model = build_model(cfg, seed=2)
+        model.params    # the first read draws the init
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,6 +509,7 @@ def test_micro64_training_forward_holds_under_18_mib():
     # backward and gelu keeping only its input
     cfg = load_config(os.path.join(CONFIGS, "micro64.cfg")).model
     model = build_model(cfg, seed=4)
+    model.params        # the first read draws the init: outside the window
     x = np.random.default_rng(87).standard_normal(
         (8, cfg.input_hw, cfg.input_hw, cfg.in_channels)).astype(np.float32)
     tracemalloc.start()
@@ -892,3 +897,102 @@ def test_load_holds_the_model_and_one_record(tmp_path):
     bound = sum(sizes) + max(sizes) + 2 ** 20
     assert peak <= bound, \
         f"load peaked {(peak - bound) / 2 ** 20:.1f} MiB above its bound"
+
+
+# ---------------------------------------------------------------------------
+# drawing the init on first use
+
+
+def forbid_draws(monkeypatch):
+    """From here on, every Generator made raises on ``normal``, which is how
+    each initializer draws."""
+    make = np.random.default_rng
+
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            self._rng = make(*args, **kwargs)
+
+        def normal(self, *args, **kwargs):
+            raise AssertionError("Generator.normal was called")
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+
+
+def micro64_checkpoint(tmp_path) -> str:
+    # drawn from seed 5 while the embedded config names seed 7, so a load
+    # that kept its own init would not match
+    run = load_config(os.path.join(CONFIGS, "micro64.cfg"))
+    path = ckpt_path(tmp_path)
+    save_model(path, build_model(run.model, seed=5), effective_text(run))
+    return path
+
+
+def assert_same_records(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_load_into_an_undrawn_model_never_draws(tmp_path, monkeypatch):
+    path = micro64_checkpoint(tmp_path)
+    forbid_draws(monkeypatch)
+    text, records = read_records(path)
+    run = parse_config_text(text, source=path)
+    model = build_model(run.model, seed=run.seed)
+    load_into_model(model, records)
+    assert_same_records(model.records(), records)
+
+
+def test_infer_loads_its_checkpoint_without_drawing(tmp_path, monkeypatch,
+                                                    capsys):
+    path = micro64_checkpoint(tmp_path)
+    image = str(tmp_path / "x.pgm")
+    write_pgm(image, np.arange(64 * 64).reshape(64, 64).astype(np.uint8))
+    load, loaded = rs_cli._load_checkpoint_model, []
+    monkeypatch.setattr(rs_cli, "_load_checkpoint_model",
+                        lambda p: loaded.append(load(p)) or loaded[-1])
+    forbid_draws(monkeypatch)
+    assert rs_cli.main(["infer", "--checkpoint", path, "--image", image,
+                        "--out", str(tmp_path / "pred")]) == 0
+    assert_same_records(loaded[0][0].records(), read_records(path)[1])
+
+
+# sha256 over (name, bytes) of build_model(micro64, seed=7).records(), the
+# values the eager build drew before the init moved to first use
+MICRO64_SEED7_SHA = {
+    np.float32: "f9f770c871fff2ccec02316244851621c79193f0d63435847844d97ee3a7c8e2",
+    np.float64: "271a8d92781ca0511abecaac9f153648086e3c024d7f4587214c005b8a5a2cd6",
+}
+
+
+@pytest.mark.parametrize("first", ["records", "forward", "bind"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_use_draws_the_seeds_init_bit_for_bit(dtype, first):
+    cfg = load_config(os.path.join(CONFIGS, "micro64.cfg")).model
+    model = build_model(cfg, seed=7, dtype=dtype)
+    if first == "forward":
+        model.forward(np.zeros((1, cfg.input_hw, cfg.input_hw,
+                                cfg.in_channels), dtype))
+    elif first == "bind":
+        model.bind(Tape())
+    h = hashlib.sha256()
+    for name, arr in model.records().items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == MICRO64_SEED7_SHA[dtype]
+
+
+def test_refused_load_leaves_the_model_undrawn(monkeypatch):
+    cfg = micro_config()
+    records = build_model(cfg, seed=2).records()
+    records["head_w"] = records["head_w"][:, :1].copy()
+    forbid_draws(monkeypatch)
+    model = build_model(cfg, seed=3)
+    with pytest.raises(CheckpointError, match="head_w: checkpoint has"):
+        load_into_model(model, records)
+    monkeypatch.undo()
+    assert_same_records(model.records(), build_model(cfg, seed=3).records())
