@@ -134,7 +134,8 @@ class Model:
 
     A model from ``build_model`` draws its parameters on the first read of
     ``params`` (so of ``records``, ``bind`` or ``forward``), unless
-    ``load_into_model`` has filled them."""
+    ``load_into_model`` or a resumed ``train_loop`` has filled them;
+    ``count_params`` draws nothing."""
 
     def __init__(self, cfg: ModelConfig, params: Optional[ModelParams]):
         self.cfg = cfg
@@ -149,6 +150,18 @@ class Model:
             seed, dtype = self._pending
             self._params = _init_params(self.cfg, np.random.default_rng(seed), dtype)
         return self._params
+
+    @params.setter
+    def params(self, params: ModelParams):
+        self._params = params
+
+    def params_or_blank(self) -> ModelParams:
+        """``params`` once drawn or loaded; until then blank parameters of
+        the config and dtype, which draw nothing and which a load fills and
+        then assigns to ``params``."""
+        if self._params is not None:
+            return self._params
+        return _init_params(self.cfg, None, self._pending[1])
 
     def bind(self, tape: Tape) -> "Model":
         """This model with every parameter watched on ``tape``."""
@@ -251,10 +264,11 @@ _GROUP_LABELS = {
 
 
 def count_params(model: Model) -> Dict[str, int]:
-    """Learnable scalar counts per module group; buffers excluded."""
+    """Learnable scalar counts per module group; buffers excluded. An undrawn
+    model is counted from blank parameters and stays undrawn."""
     table: Dict[str, int] = {f"stage{i + 1}": 0 for i in range(NUM_STAGES)}
     table.update(embed=0, merges=0, expands=0, fusion=0, head=0)
-    for name, t in walk_tensors(model.params):
+    for name, t in walk_tensors(model.params_or_blank()):
         root = name.split(".")[0]
         if root == "stages":
             group = f"stage{int(name.split('.')[1]) + 1}"
@@ -469,11 +483,15 @@ class Records(Mapping):
     """Checkpoint records by name, in file order, read on access.
 
     ``records[name]`` reads that payload into a fresh native-order array
-    that owns its data and is writable, aligned and C-contiguous. The file
+    that owns its data and is writable, aligned and C-contiguous;
+    ``read_into(name, dst)`` reads it into ``dst`` instead. The file
     ``read_records`` opened stays open, unbuffered, until the mapping is
     dropped: a file renamed over the path meanwhile does not change what is
     read, and a file that has since shrunk is a ``CheckpointError``. Names,
-    shapes and dtypes (``layout``) come from the header alone.
+    shapes and dtypes (``layout``) come from the header alone. A read that
+    fails part-way leaves its destination partly written, so a load failing
+    so keeps in a drawn model the records taken before it, and leaves an
+    undrawn model undrawn.
     """
 
     def __init__(self, raw, index: Dict[str, tuple]):
@@ -482,9 +500,23 @@ class Records(Mapping):
         weakref.finalize(self, raw.close)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        offset, dims, dtype = self._index[name]
+        _, dims, dtype = self._index[name]
         arr = np.empty(dims, dtype=dtype)
-        view = memoryview(arr.reshape(-1)).cast("B")
+        self.read_into(name, arr)
+        return arr
+
+    def read_into(self, name: str, dst: np.ndarray):
+        """Read the payload of ``name`` straight into ``dst``, which must be a
+        writable, C-contiguous, native-order array of the record's shape and
+        dtype; anything else would be filled through a copy, so it raises
+        ``ValueError`` before the file is touched."""
+        offset, dims, dtype = self._index[name]
+        if not (isinstance(dst, np.ndarray) and dst.shape == dims
+                and dst.dtype == dtype and dst.flags.c_contiguous
+                and dst.flags.writeable):
+            raise ValueError(f"{name}: cannot read into this array; wants a "
+                             f"writable C-contiguous {dtype}{dims}")
+        view = memoryview(dst.reshape(-1)).cast("B")
         got = 0
         try:
             self._raw.seek(offset)
@@ -497,8 +529,7 @@ class Records(Mapping):
         except OSError as e:
             raise CheckpointError(f"{self._raw.name}: {e}") from e
         if sys.byteorder != "little":
-            arr.byteswap(inplace=True)
-        return arr
+            dst.byteswap(inplace=True)
 
     def __contains__(self, name) -> bool:
         return name in self._index
@@ -535,14 +566,18 @@ def _layout(records: Mapping[str, np.ndarray], name: str):
 
 def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray],
                  source: str = "checkpoint"):
-    """Copy ``records[name]`` into each wanted array; ``records`` is unchanged.
+    """Fill each wanted array with ``records[name]``; ``records`` is unchanged.
 
     ``records`` is a dict or the ``Records`` of ``read_records``. Every
     wanted record must be present with an identical shape and dtype,
     otherwise ``source`` does not describe this run and loading aborts.
     All records are checked, without reading a payload, before any is
-    copied, so a failed load leaves every wanted array as it was; the
-    copies then go one record at a time.
+    taken, so a refused load leaves every wanted array as it was. Then each
+    payload of a ``Records`` is read once, straight into its wanted array,
+    and a dict's arrays are copied. An I/O failure after the checks leaves
+    the arrays before the failing record filled and that one partly
+    written: a drawn model keeps the records already taken, and an undrawn
+    one, whose blank arrays are installed only after the take, stays undrawn.
     """
     for name, dst in wanted.items():
         layout = _layout(records, name)
@@ -554,16 +589,18 @@ def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray
                 f"{name}: {source} has {dtype}{shape}, "
                 f"this run wants {dst.dtype}{dst.shape}")
     for name, dst in wanted.items():
-        dst[...] = records[name]
+        if isinstance(records, Records):
+            records.read_into(name, dst)
+        else:
+            dst[...] = records[name]
 
 
 def load_into_model(model: Model, records: Mapping[str, np.ndarray]):
-    """Copy every model parameter and buffer out of ``records``. An undrawn
-    model never draws: blank parameters take the records and become its own
-    only once all are copied, so a refused load leaves it undrawn."""
-    if model._params is not None:
-        take_records(records, model.records())
-    else:
-        blank = Model(model.cfg, _init_params(model.cfg, None, model._pending[1]))
-        take_records(records, blank.records())
-        model._params = blank.params
+    """Fill every model parameter and buffer from ``records``, each payload
+    read once into the array that keeps it. A drawn model is filled in
+    place. An undrawn model never draws: blank parameters take the records
+    and become its own only once all are taken, so a failed load leaves it
+    undrawn."""
+    params = model.params_or_blank()
+    take_records(records, Model(model.cfg, params).records())
+    model.params = params

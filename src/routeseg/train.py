@@ -24,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -75,15 +75,21 @@ def _state_records(state: TrainState) -> Dict[str, np.ndarray]:
             "state.best_dsc": np.array(float(state.best_dsc))}
 
 
-def _resume(model: Model, opt: Optimizer, path: str) -> TrainState:
-    """Load the model, optimizer and progress of a run from its checkpoint.
+def _resume(model: Model, ocfg: OptimConfig,
+            path: str) -> Tuple[Optimizer, TrainState]:
+    """The optimizer and progress of a run, loaded with its model from the
+    run's checkpoint: (optimizer, state).
 
-    Every record is checked before any is copied, so a refused checkpoint
-    changes nothing. The records and the open file are released on return.
+    Every record is checked before any is taken, so a refused checkpoint
+    changes nothing. An undrawn model never draws: the optimizer is built
+    over blank parameters, which become the model's only once every record
+    is taken. The records and the open file are released on return.
     """
     _, records = read_records(path)
+    params = model.params_or_blank()
+    opt = Optimizer(ocfg, walk_tensors(params))
     run_state = {**opt.state_records(), **_state_records(TrainState())}
-    wanted = {**model.records(), **run_state}
+    wanted = {**Model(model.cfg, params).records(), **run_state}
     # a record this run does not take, such as another optimizer's slots,
     # means the checkpoint comes from a different kind of run
     unused = sorted(set(records) - set(wanted))
@@ -91,10 +97,11 @@ def _resume(model: Model, opt: Optimizer, path: str) -> TrainState:
         raise CheckpointError(f"{path}: record {unused[0]} is not used by "
                               f"this run ({len(unused)} unused records)")
     take_records(records, wanted, path)
+    model.params = params
     opt.t = int(run_state["opt.t"])
-    return TrainState(epoch=int(run_state["state.epoch"]),
-                      step=int(run_state["state.step"]),
-                      best_dsc=float(run_state["state.best_dsc"]))
+    return opt, TrainState(epoch=int(run_state["state.epoch"]),
+                           step=int(run_state["state.step"]),
+                           best_dsc=float(run_state["state.best_dsc"]))
 
 
 def _cut_log(path: str, state: TrainState):
@@ -161,8 +168,10 @@ def train_loop(model: Model, train_samples: Sequence[SegSample],
     index_of = {sid: i for i, sid in enumerate(universe)}
     eval_set = val_samples if val_samples else train_samples
 
-    opt = Optimizer(ocfg, walk_tensors(model.params))
-    state = TrainState() if resume_from is None else _resume(model, opt, resume_from)
+    if resume_from is None:
+        opt, state = Optimizer(ocfg, walk_tensors(model.params)), TrainState()
+    else:
+        opt, state = _resume(model, ocfg, resume_from)
 
     own_stream = None
     if log_stream is None and out_dir is not None:

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from routeseg.model import ModelConfig
@@ -22,6 +23,24 @@ def fds_open_on(path: str) -> int:
             continue
         count += target in (want, want + " (deleted)")
     return count
+
+
+def forbid_draws(monkeypatch):
+    """From here on, every Generator made raises on ``normal``, which is how
+    each initializer draws."""
+    make = np.random.default_rng
+
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            self._rng = make(*args, **kwargs)
+
+        def normal(self, *args, **kwargs):
+            raise AssertionError("Generator.normal was called")
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
 
 
 def micro_config(**overrides) -> ModelConfig:

@@ -17,7 +17,7 @@ from routeseg.gradcheck import GradCheckReport
 from routeseg.metrics import confusion_counts
 from routeseg.model import build_model, read_records, save_model, write_records
 
-from conftest import CONFIGS_DIR
+from conftest import CONFIGS_DIR, forbid_draws
 
 QUICK_CFG = """\
 in_channels = 1
@@ -111,6 +111,23 @@ def test_interrupted_then_resumed_run_matches(quick_run, tmp_path, capsys):
                  "--resume", os.path.join(out, "last.ckpt")]) == 0
     assert slurp(os.path.join(out, "last.ckpt"), "rb") == \
         slurp(quick_run["last"], "rb")
+
+
+def test_micro64_resume_draws_no_init_and_ends_as_a_straight_run(
+        tmp_path, monkeypatch, capsys):
+    with open(os.path.join(CONFIGS_DIR, "micro64.cfg"), encoding="utf-8") as f:
+        micro64 = f.read().replace("epochs = 200", "epochs = 2")
+    cfg = write(str(tmp_path / "micro64.cfg"), micro64)
+    straight, resumed = str(tmp_path / "straight"), str(tmp_path / "resumed")
+    assert main(["train", "--config", cfg, "--out", straight]) == 0
+    assert main(["train", "--config", cfg, "--out", resumed,
+                 "--stop-after-epochs", "1"]) == 0
+    forbid_draws(monkeypatch)
+    assert main(["train", "--config", cfg, "--out", resumed,
+                 "--resume", os.path.join(resumed, "last.ckpt")]) == 0
+    for name in ("last.ckpt", "train_log.jsonl"):
+        assert slurp(os.path.join(straight, name), "rb") == \
+            slurp(os.path.join(resumed, name), "rb"), name
 
 
 def test_resume_with_another_optimizer_is_data_error(quick_run, tmp_path, capsys):
@@ -557,6 +574,13 @@ def test_report_passes_published_targets(tmp_path, capsys, extra):
     out = capsys.readouterr().out
     assert "published target" in out and "PASS" in out
     assert "FAIL" not in out
+
+
+def test_report_on_micro64_draws_no_init(monkeypatch, capsys):
+    forbid_draws(monkeypatch)
+    assert main(["report", "--config",
+                 os.path.join(CONFIGS_DIR, "micro64.cfg")]) == 0
+    assert "total params" in capsys.readouterr().out
 
 
 def test_report_without_target_says_so(tmp_path, capsys):

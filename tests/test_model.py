@@ -29,7 +29,7 @@ from routeseg.params import (bind, conv_init, count_scalars, named_arrays,
                              substitute, walk_buffers, walk_tensors)
 from routeseg.tensor import Tape, Tensor, backward, sum_
 
-from conftest import fds_open_on, micro_config, needs_proc_fd
+from conftest import fds_open_on, forbid_draws, micro_config, needs_proc_fd
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +763,42 @@ def test_records_of_a_file_truncated_after_opening_refuse_to_read(tmp_path):
     os.truncate(path, 0)
     with pytest.raises(CheckpointError, match="truncated .* payload of a"):
         records["a"]
+    # a load into an undrawn model that fails part-way leaves it undrawn
+    save_model(path, build_model(micro_config(), seed=2))
+    _, records = read_records(path)
+    assert list(records)[-1] == "fuses.2.bn_var"
+    os.truncate(path, os.path.getsize(path) - 8)
+    model = build_model(micro_config(), seed=3)
+    with pytest.raises(CheckpointError,
+                       match="truncated .* payload of fuses.2.bn_var"):
+        load_into_model(model, records)
+    assert model._params is None
+    assert_same_records(model.records(), build_model(micro_config(), seed=3).records())
+
+
+@pytest.mark.parametrize("dst", ["transposed", "strided", "float64",
+                                 "big-endian", "read-only", "flat"])
+def test_read_into_refuses_an_array_it_would_fill_through_a_copy(tmp_path, dst):
+    path = ckpt_path(tmp_path)
+    want = np.arange(12, dtype=np.float32).reshape(3, 4)
+    write_records(path, "cfg", {"w": want})
+    _, records = read_records(path)
+    good = np.zeros((3, 4), np.float32)
+    records.read_into("w", good)
+    assert good.tobytes() == want.tobytes()
+    arr = {"transposed": lambda: np.zeros((4, 3), np.float32).T,
+           "strided": lambda: np.zeros((3, 8), np.float32)[:, ::2],
+           "float64": lambda: np.zeros((3, 4)),
+           "big-endian": lambda: np.zeros((3, 4), ">f4"),
+           "read-only": lambda: np.zeros((3, 4), np.float32),
+           "flat": lambda: np.zeros(12, np.float32)}[dst]()
+    arr.flags.writeable = dst != "read-only"
+    # emptied, so a refusal that came after a read would be a truncation
+    os.truncate(path, 0)
+    with pytest.raises(ValueError, match=r"w: cannot read into this array; "
+                       r"wants a writable C-contiguous float32\(3, 4\)"):
+        records.read_into("w", arr)
+    assert not arr.any()
 
 
 @needs_proc_fd
@@ -894,31 +930,15 @@ def test_load_holds_the_model_and_one_record(tmp_path):
         tracemalloc.stop()
     sizes = [a.nbytes for a in model.records().values()]
     assert sum(sizes) > 48 * 2 ** 20
-    bound = sum(sizes) + max(sizes) + 2 ** 20
+    # each payload is read straight into its parameter, so no record is held
+    # a second time on the way
+    bound = sum(sizes) + 2 ** 20
     assert peak <= bound, \
         f"load peaked {(peak - bound) / 2 ** 20:.1f} MiB above its bound"
 
 
 # ---------------------------------------------------------------------------
 # drawing the init on first use
-
-
-def forbid_draws(monkeypatch):
-    """From here on, every Generator made raises on ``normal``, which is how
-    each initializer draws."""
-    make = np.random.default_rng
-
-    class NoDraws:
-        def __init__(self, *args, **kwargs):
-            self._rng = make(*args, **kwargs)
-
-        def normal(self, *args, **kwargs):
-            raise AssertionError("Generator.normal was called")
-
-        def __getattr__(self, name):
-            return getattr(self._rng, name)
-
-    monkeypatch.setattr(np.random, "default_rng", NoDraws)
 
 
 def micro64_checkpoint(tmp_path) -> str:
@@ -984,6 +1004,24 @@ def test_first_use_draws_the_seeds_init_bit_for_bit(dtype, first):
         h.update(name.encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == MICRO64_SEED7_SHA[dtype]
+
+
+@pytest.mark.parametrize("overrides,total", [
+    ({}, 50_756_169), ({"sccsa": False}, 31_398_537),
+    ({"base_channels": 64}, 22_637_961)])
+def test_counting_an_undrawn_model_draws_nothing(monkeypatch, overrides, total):
+    forbid_draws(monkeypatch)
+    model = build_model(dataclasses.replace(ModelConfig(), **overrides))
+    assert count_params(model)["total"] == total
+    assert model._params is None
+
+
+def test_count_params_is_the_same_drawn_and_undrawn():
+    model = build_model(micro_config(), seed=4)
+    undrawn = count_params(model)
+    assert model._params is None
+    model.params
+    assert count_params(model) == undrawn
 
 
 def test_refused_load_leaves_the_model_undrawn(monkeypatch):

@@ -20,7 +20,7 @@ from routeseg.tensor import Tensor
 from routeseg.train import (NumericAbort, TrainState, evaluate, predict,
                             train_loop)
 
-from conftest import fds_open_on, micro_config, needs_proc_fd
+from conftest import fds_open_on, forbid_draws, micro_config, needs_proc_fd
 
 
 def tiny_optim(epochs=2, **kw):
@@ -243,6 +243,26 @@ def test_resume_rejects_another_optimizers_checkpoint(tmp_path, monkeypatch):
     (opt, slots), = made
     for name, arr in opt.state_records().items():
         assert arr.tobytes() == slots[name].tobytes(), name
+
+
+def test_resume_rejects_another_optimizers_checkpoint_undrawn(tmp_path,
+                                                             monkeypatch):
+    samples = synth_dataset(2, 32, 2, seed=17, in_channels=1)
+    out = str(tmp_path / "adam")
+    train_loop(build_model(micro_config(), seed=0), samples, [],
+               tiny_optim(epochs=1), eval_every=0, out_dir=out)
+    forbid_draws(monkeypatch)
+    model = build_model(micro_config(), seed=1)
+    with pytest.raises(CheckpointError, match=r"record opt\.\S+\.m is not used"):
+        train_loop(model, samples, [], tiny_optim(epochs=2, kind="sgd", momentum=0.9),
+                   resume_from=os.path.join(out, "last.ckpt"))
+    # the optimizer was built over blank parameters, which the refused
+    # checkpoint never installed: the model is still undrawn
+    assert model._params is None
+    monkeypatch.undo()
+    want = build_model(micro_config(), seed=1).records()
+    for name, arr in model.records().items():
+        assert arr.tobytes() == want[name].tobytes(), name
 
 
 def test_augmented_run_differs_but_stays_deterministic():
