@@ -42,6 +42,7 @@ from .tensor import (Tensor, conv2d, dense, gather_regions, matmul, rearrange, r
                      reshape, softmax_lastdim, transpose)  # noqa: F401, perfbench rebinds transpose
 
 LCE_KERNEL = 5                   # side of the depth-wise local-context conv
+SCALE_MODES = ("per_head", "model_dim")    # logit scale: 1/sqrt(C/heads) or 1/sqrt(C)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class RoutingAttentionParams:
              scale_mode: str = "per_head"):
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by {heads} heads")
-        if scale_mode not in ("per_head", "model_dim"):
+        if scale_mode not in SCALE_MODES:
             raise ValueError(f"unknown scale_mode {scale_mode!r}")
 
         def w():

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import RoutingRecord, recording
+from .attention import RoutingRecord, recording, region_merge, region_partition
 from .config import (RunConfig, describe_keys, effective_text, load_config,
                      parse_config_text)
 from .data import (SPLIT_NAMES, DataError, SegSample, kfold_splits,
@@ -205,14 +205,10 @@ def _report_text(run: RunConfig) -> str:
     model = build_model(run.model, seed=run.seed)
     params = count_params(model)
     flops = count_flops(run.model)
-    per_module = flops["per_module"]
     lines = ["module          params          macs",
              "------          ------          ----"]
-    order = (["embed"] + [f"stage{i}" for i in range(1, 8)]
-             + ["merges", "expands", "fusion", "head"])
-    for name in order:
-        lines.append(f"{name:<14}{params.get(name, 0):>12,}"
-                     f"{per_module.get(name, 0):>16,}")
+    for name, macs in flops["per_module"].items():
+        lines.append(f"{name:<14}{params[name]:>12,}{macs:>16,}")
     lines.append(f"{'total':<14}{params['total']:>12,}"
                  f"{flops['total_macs']:>16,}")
     lines.append(f"total params: {params['total'] / 1e6:.2f} M")
@@ -316,21 +312,16 @@ def cmd_dump_attention(args) -> int:
     if not (0 <= args.row < side and 0 <= args.col < side):
         raise ConfigError(f"query ({args.row}, {args.col}) outside the "
                           f"{side}x{side} stage-{args.stage} feature map")
-    rh, rw, s = spec.region_h, spec.region_w, spec.s
-    region = (args.row // rh) * s + (args.col // rw)
-    t_local = (args.row % rh) * rw + (args.col % rw)
+    pixels = np.arange(side * side).reshape(1, side, side, 1)
+    ids = region_partition(Tensor(pixels), spec).data[0, :, :, 0]   # [R, T] pixel ids
+    region, t_local = map(int, np.argwhere(ids == args.row * side + args.col)[0])
     routed = trace.routing.index[0, region]              # [top_k]
     wrow = trace.weights[0, region, :, t_local, :].mean(axis=0)
-
-    region_map = np.zeros((side, side), dtype=np.uint8)
-    heat = np.zeros((side, side), dtype=np.float64)
-    tokens = rh * rw
-    for j, rid in enumerate(routed):
-        ry, rx = divmod(int(rid), s)
-        ys, xs = ry * rh, rx * rw
-        region_map[ys:ys + rh, xs:xs + rw] = 255
-        heat[ys:ys + rh, xs:xs + rw] = \
-            wrow[j * tokens:(j + 1) * tokens].reshape(rh, rw)
+    placed = np.zeros((1, spec.num_regions, ids.shape[1], 2))
+    placed[0, routed, :, 0] = 255
+    placed[0, routed, :, 1] = wrow.reshape(len(routed), -1)
+    region_map, heat = np.moveaxis(region_merge(Tensor(placed), spec).data[0], -1, 0)
+    region_map = region_map.astype(np.uint8)
 
     factor = run.model.input_hw // side
     up = lambda m: np.repeat(np.repeat(m, factor, axis=0), factor, axis=1)
@@ -408,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None, help="dataset root (images/+masks/)")
-    p.add_argument("--split", default="all",
-                   choices=("all", "train", "val", "test"))
+    p.add_argument("--split", default="all", choices=("all", *SPLIT_NAMES))
     p.add_argument("--split-file", default=None)
     p.add_argument("--hausdorff", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report here")

@@ -4,10 +4,11 @@ Unknown keys and duplicate keys are rejected naming the offender; the
 retired ``threads`` key, which older checkpoints embed, is ignored. The
 effective (defaults-merged) configuration serializes back to the same
 format via :func:`effective_text`; parsing that text reproduces any
-``RunConfig`` exactly, parsed or built in code, and it is the text
-embedded in checkpoints and echoed into output directories. Every config
-class checks its values when it is built, so a config that exists is
-valid.
+``RunConfig`` exactly, parsed or built in code, whose strings hold no
+``#``, line break or leading or trailing whitespace (those it refuses),
+and it is the text embedded in checkpoints and echoed into output
+directories. Every config class checks its values when it is built, so
+a config that exists is valid.
 
 Each key is one ``_KEYS`` row naming the field it sets; its default is
 that field's dataclass default. The ``optimizer`` key sets ``optim.kind``,
@@ -22,10 +23,11 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Dict, List, Tuple
 
-from .data import AugmentConfig
+from .attention import SCALE_MODES
+from .data import AugmentConfig, check_split_fractions
 from .losses import check_loss_lambda
 from .model import ConfigError, ModelConfig
-from .optim import OptimConfig
+from .optim import OPTIMIZERS, SCHEDULES, OptimConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -106,18 +108,18 @@ _KEYS: List[_Key] = [
          "channel+spatial skip fusion (plain concat fusion when false)"),
     _Key("skip_mask", "model.skip_mask", _items(_parse_bool),
          "skip connections at 1/4, 1/8, 1/16 scale"),
-    _Key("scale_mode", "model.scale_mode", _choice("per_head", "model_dim"),
+    _Key("scale_mode", "model.scale_mode", _choice(*SCALE_MODES),
          "attention logit scaling convention"),
     _Key("qkv_bias", "model.qkv_bias", _parse_bool, "bias terms on q/k/v projections"),
     # optimizer
-    _Key("optimizer", "optim.kind", _choice("sgd", "adam"), "training regime preset"),
+    _Key("optimizer", "optim.kind", _choice(*OPTIMIZERS), "training regime preset"),
     _Key("lr", "optim.lr", _parse_float, "initial learning rate"),
     _Key("momentum", "optim.momentum", _parse_float, "sgd momentum"),
     _Key("weight_decay", "optim.weight_decay", _parse_float, "coupled weight decay"),
     _Key("beta1", "optim.beta1", _parse_float, "adam first-moment decay"),
     _Key("beta2", "optim.beta2", _parse_float, "adam second-moment decay"),
     _Key("adam_eps", "optim.eps", _parse_float, "adam denominator epsilon"),
-    _Key("schedule", "optim.schedule", _choice("constant", "cosine"),
+    _Key("schedule", "optim.schedule", _choice(*SCHEDULES),
          "learning-rate schedule"),
     _Key("epochs", "optim.epochs", _parse_int, "training epochs"),
     _Key("batch_size", "optim.batch_size", _parse_int, "samples per optimizer step"),
@@ -180,12 +182,7 @@ class RunConfig:
             raise ConfigError(f"cutout_lo {lo} exceeds cutout_hi {hi} at "
                               f"input_hw {self.model.input_hw}")
         check_loss_lambda(self.loss_lambda)
-        if len(self.split_fractions) != 3:
-            raise ConfigError("split_fractions wants exactly train,val,test")
-        if any(f < 0 for f in self.split_fractions) \
-                or abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"split_fractions must be nonnegative and sum "
-                              f"to 1: {self.split_fractions}")
+        check_split_fractions(self.split_fractions)
         if self.kfold < 0 or self.kfold == 1:
             raise ConfigError(f"kfold must be 0 or >= 2, got {self.kfold}")
         if self.kfold and not 0 <= self.fold < self.kfold:
@@ -251,8 +248,14 @@ def default_config() -> RunConfig:
 
 
 def effective_text(cfg: RunConfig) -> str:
-    """All keys with their effective values; parses back to ``cfg``."""
-    return "".join(f"{k.name} = {_fmt(attrgetter(k.field)(cfg))}\n" for k in _KEYS)
+    """All keys with their effective values; parses back to ``cfg``. A value
+    holding ``#``, a line break or edge whitespace is refused, naming its key."""
+    values = {k.name: _fmt(attrgetter(k.field)(cfg)) for k in _KEYS}
+    for key, v in values.items():
+        if "#" in v or v != v.strip() or len(v.splitlines()) > 1:
+            raise ConfigError(f"{key}: config text cannot hold {v!r} "
+                              f"('#', a line break or edge whitespace)")
+    return "".join(f"{key} = {v}\n" for key, v in values.items())
 
 
 def describe_keys() -> str:
@@ -263,7 +266,7 @@ def describe_keys() -> str:
     their widest entry, so every description starts in the same column.
     """
     defaults = default_config()
-    presets = [(kind, OptimConfig.preset(kind)) for kind in ("sgd", "adam")]
+    presets = [(kind, OptimConfig.preset(kind)) for kind in OPTIMIZERS]
 
     def default(field: str) -> str:
         if field == "optim.kind" or not field.startswith("optim."):

@@ -166,25 +166,13 @@ def read_pnm(path: str) -> np.ndarray:
     return _parse_pnm(path)[0]
 
 
-def _write_pnm(path: str, magic: bytes, arr: np.ndarray):
-    header = b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
-
-
 def write_pgm(path: str, arr: np.ndarray):
     a = np.asarray(arr)
     if a.ndim != 2:
         raise DataError(f"write_pgm wants [H, W], got shape {a.shape}")
-    _write_pnm(path, b"P5", a)
-
-
-def write_ppm(path: str, arr: np.ndarray):
-    a = np.asarray(arr)
-    if a.ndim != 3 or a.shape[2] != 3:
-        raise DataError(f"write_ppm wants [H, W, 3], got shape {a.shape}")
-    _write_pnm(path, b"P6", a)
+    with open(path, "wb") as f:
+        f.write(b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0]))
+        f.write(np.ascontiguousarray(a, dtype=np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +242,6 @@ def load_dataset(root: str, in_channels: int, num_classes: int) -> List[SegSampl
             raise DataError(f"{mask_path}: class index {top} >= K={num_classes}")
         samples.append(SegSample(id=stem, image=image, mask=mask.astype(np.int64)))
     return samples
-
-
-def save_dataset(samples: Sequence[SegSample], root: str):
-    images_dir = os.path.join(root, "images")
-    masks_dir = os.path.join(root, "masks")
-    os.makedirs(images_dir, exist_ok=True)
-    os.makedirs(masks_dir, exist_ok=True)
-    for s in samples:
-        raw = np.rint(np.clip(s.image, 0.0, 1.0) * 255.0).astype(np.uint8)
-        if raw.shape[2] == 1:
-            write_pgm(os.path.join(images_dir, s.id + ".pgm"), raw[:, :, 0])
-        elif raw.shape[2] == 3:
-            write_ppm(os.path.join(images_dir, s.id + ".ppm"), raw)
-        else:
-            raise DataError(f"{s.id}: only 1- or 3-channel images are writable")
-        write_pgm(os.path.join(masks_dir, s.id + ".pgm"),
-                  s.mask.astype(np.uint8))
 
 
 def stack_batch(samples: Sequence[SegSample]) -> Tuple[np.ndarray, np.ndarray]:
@@ -429,13 +400,17 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: SplitMix64) -> SegSample
 SPLIT_NAMES = ("train", "val", "test")
 
 
+def check_split_fractions(fractions: Sequence[float]):
+    if len(fractions) != len(SPLIT_NAMES):
+        raise ConfigError("split_fractions wants exactly train,val,test")
+    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"split_fractions must be nonnegative and sum to 1: {fractions}")
+
+
 def make_splits(ids: Sequence[str], fractions: Sequence[float],
                 seed: int) -> Dict[str, str]:
     """Seeded shuffle, then largest-remainder apportionment of counts."""
-    if len(fractions) != len(SPLIT_NAMES):
-        raise DataError(f"{len(fractions)} fractions for {len(SPLIT_NAMES)} split names")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must be nonnegative and sum to 1: {fractions}")
+    check_split_fractions(fractions)
     order = list(ids)
     SplitMix64(seed).shuffle(order)
     n = len(order)
@@ -466,12 +441,6 @@ def kfold_splits(ids: Sequence[str], k: int, fold: int, seed: int) -> Dict[str, 
     for i, sid in enumerate(order):
         out[sid] = "val" if i % k == fold else "train"
     return out
-
-
-def write_split_file(path: str, splits: Dict[str, str]):
-    with open(path, "w", encoding="utf-8") as f:
-        for sid in sorted(splits):
-            f.write(f"{sid}\t{splits[sid]}\n")
 
 
 def read_split_file(path: str) -> Dict[str, str]:

@@ -143,17 +143,8 @@ class MetricsReport:
     num_images: int = 0
 
     def to_json(self) -> str:
-        doc = {
-            "num_classes": self.num_classes,
-            "num_images": self.num_images,
-            "counts": self.counts.tolist(),
-            "per_class": self.per_class,
-            "means": self.means,
-            "foreground_means": self.foreground_means,
-            "hausdorff": self.hausdorff,
-            "mean_hausdorff": self.mean_hausdorff,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(dict(vars(self), counts=self.counts.tolist()),
+                          sort_keys=True)
 
 
 def evaluate_predictions(preds: List[np.ndarray], targets: List[np.ndarray],

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import LCE_KERNEL, PartitionSpec, attention_flops, effective_s
+from .attention import LCE_KERNEL, SCALE_MODES, PartitionSpec, attention_flops, effective_s
 from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      PatchExpandParams, PatchMergeParams, block_forward,
                      patch_embed, patch_expand, patch_merge, pixel_shuffle)
@@ -89,7 +89,7 @@ class ModelConfig:
                               f"got {ks}")
         if len(self.skip_mask) != 3:
             raise ConfigError(f"skip_mask wants 3 entries, got {self.skip_mask}")
-        if self.scale_mode not in ("per_head", "model_dim"):
+        if self.scale_mode not in SCALE_MODES:
             raise ConfigError(f"unknown scale_mode {self.scale_mode!r}")
 
     def resolved_top_k(self) -> Tuple[int, ...]:
@@ -274,8 +274,8 @@ def count_params(model: Model) -> Dict[str, int]:
             group = f"stage{int(name.split('.')[1]) + 1}"
         else:
             group = _GROUP_LABELS[root]
-        table[group] = table.get(group, 0) + t.size
-    table["total"] = sum(v for k, v in table.items())
+        table[group] += t.size
+    table["total"] = sum(table.values())
     return table
 
 
@@ -488,10 +488,7 @@ class Records(Mapping):
     ``read_records`` opened stays open, unbuffered, until the mapping is
     dropped: a file renamed over the path meanwhile does not change what is
     read, and a file that has since shrunk is a ``CheckpointError``. Names,
-    shapes and dtypes (``layout``) come from the header alone. A read that
-    fails part-way leaves its destination partly written, so a load failing
-    so keeps in a drawn model the records taken before it, and leaves an
-    undrawn model undrawn.
+    shapes and dtypes (``layout``) come from the header alone.
     """
 
     def __init__(self, raw, index: Dict[str, tuple]):
@@ -509,7 +506,13 @@ class Records(Mapping):
         """Read the payload of ``name`` straight into ``dst``, which must be a
         writable, C-contiguous, native-order array of the record's shape and
         dtype; anything else would be filled through a copy, so it raises
-        ``ValueError`` before the file is touched."""
+        ``ValueError`` before the file is touched.
+
+        A read that fails part-way leaves ``dst`` partly written: a load that
+        fails so keeps, in a drawn model, the records taken before it and this
+        one partly written, and an undrawn model stays undrawn, since its blank
+        arrays are installed only after every record is taken.
+        """
         offset, dims, dtype = self._index[name]
         if not (isinstance(dst, np.ndarray) and dst.shape == dims
                 and dst.dtype == dtype and dst.flags.c_contiguous
@@ -540,9 +543,8 @@ class Records(Mapping):
     def __len__(self) -> int:
         return len(self._index)
 
-    def layout(self, name: str) -> Optional[Tuple[tuple, np.dtype]]:
-        entry = self._index.get(name)
-        return None if entry is None else entry[1:]
+    def layout(self, name: str) -> Tuple[tuple, np.dtype]:
+        return self._index[name][1:]
 
 
 def save_model(path: str, model: Model, config_text: str = "",
@@ -555,15 +557,6 @@ def save_model(path: str, model: Model, config_text: str = "",
     write_records(path, config_text, records)
 
 
-def _layout(records: Mapping[str, np.ndarray], name: str):
-    """(shape, dtype) of a record, or None; lazy records answer from their
-    header without reading the payload."""
-    if isinstance(records, Records):
-        return records.layout(name)
-    arr = records.get(name)
-    return None if arr is None else (arr.shape, arr.dtype)
-
-
 def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray],
                  source: str = "checkpoint"):
     """Fill each wanted array with ``records[name]``; ``records`` is unchanged.
@@ -573,23 +566,22 @@ def take_records(records: Mapping[str, np.ndarray], wanted: Dict[str, np.ndarray
     otherwise ``source`` does not describe this run and loading aborts.
     All records are checked, without reading a payload, before any is
     taken, so a refused load leaves every wanted array as it was. Then each
-    payload of a ``Records`` is read once, straight into its wanted array,
-    and a dict's arrays are copied. An I/O failure after the checks leaves
-    the arrays before the failing record filled and that one partly
-    written: a drawn model keeps the records already taken, and an undrawn
-    one, whose blank arrays are installed only after the take, stays undrawn.
+    payload of a ``Records`` is read once, straight into its wanted array
+    (see ``Records.read_into`` for a read that fails), and a dict's arrays
+    are copied.
     """
+    lazy = isinstance(records, Records)
     for name, dst in wanted.items():
-        layout = _layout(records, name)
-        if layout is None:
+        if name not in records:
             raise CheckpointError(f"{source} is missing {name}")
-        shape, dtype = layout
+        shape, dtype = (records.layout(name) if lazy
+                        else (records[name].shape, records[name].dtype))
         if shape != dst.shape or dtype != dst.dtype:
             raise CheckpointError(
                 f"{name}: {source} has {dtype}{shape}, "
                 f"this run wants {dst.dtype}{dst.shape}")
     for name, dst in wanted.items():
-        if isinstance(records, Records):
+        if lazy:
             records.read_into(name, dst)
         else:
             dst[...] = records[name]

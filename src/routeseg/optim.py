@@ -21,6 +21,9 @@ import numpy as np
 from .model import ConfigError
 from .tensor import Tensor
 
+OPTIMIZERS = ("sgd", "adam")
+SCHEDULES = ("constant", "cosine")
+
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -45,9 +48,9 @@ class OptimConfig:
         raise ConfigError(f"unknown optimizer preset {kind!r}")
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
+        if self.kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
-        if self.schedule not in ("constant", "cosine"):
+        if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")

@@ -81,10 +81,6 @@ def substitute(obj, mapping: dict):
     return map_tensors(obj, lambda name, t: mapping.get(name, t))
 
 
-def count_scalars(obj) -> int:
-    return sum(t.size for _, t in walk_tensors(obj))
-
-
 # ---------------------------------------------------------------------------
 # initializers
 

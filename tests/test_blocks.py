@@ -6,8 +6,10 @@ from routeseg.blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                              PatchExpandParams, PatchMergeParams, block_forward,
                              patch_embed, patch_expand, patch_merge,
                              pixel_shuffle)
-from routeseg.params import bind, count_scalars
+from routeseg.params import bind
 from routeseg.tensor import Tape, Tensor, backward, sum_
+
+from conftest import count_scalars
 
 
 def test_patch_embed_quarters_resolution():

@@ -9,15 +9,15 @@ import routeseg.cli
 import routeseg.gradcheck
 import routeseg.tensor
 import routeseg.train
+from routeseg.attention import RoutingRecord, recording
 from routeseg.cli import main
 from routeseg.config import effective_text, parse_config_text
-from routeseg.data import (make_splits, read_pnm, save_dataset, synth_dataset,
-                           write_split_file)
+from routeseg.data import make_splits, read_pnm, synth_dataset
 from routeseg.gradcheck import GradCheckReport
 from routeseg.metrics import confusion_counts
 from routeseg.model import build_model, read_records, save_model, write_records
 
-from conftest import CONFIGS_DIR, forbid_draws
+from conftest import CONFIGS_DIR, forbid_draws, save_dataset, write_split_file
 
 QUICK_CFG = """\
 in_channels = 1
@@ -576,6 +576,32 @@ def test_report_passes_published_targets(tmp_path, capsys, extra):
     assert "FAIL" not in out
 
 
+BASE_MODULE_ROWS = [
+    ("embed", 43_200, 148_119_552),
+    ("stage1", 193_344, 756_111_552),
+    ("stage2", 755_328, 629_225_856),
+    ("stage3", 11_940_864, 2_381_503_488),
+    ("stage4", 0, 0),
+    ("stage5", 11_940_864, 2_381_503_488),
+    ("stage6", 755_328, 629_225_856),
+    ("stage7", 193_344, 756_111_552),
+    ("merges", 3_487_680, 390_695_424),
+    ("expands", 1_699_968, 635_830_272),
+    ("fusion", 19_745_376, 8_844_347_904),
+    ("head", 873, 43_352_064),
+    ("total", 50_756_169, 17_596_027_008),
+]
+
+
+def test_report_module_rows_on_base_are_pinned(capsys):
+    assert main(["report", "--config", os.path.join(CONFIGS_DIR, "base.cfg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:2 + len(BASE_MODULE_ROWS)]]
+    assert [(name, int(p.replace(",", "")), int(m.replace(",", "")))
+            for name, p, m in rows] == BASE_MODULE_ROWS
+    assert lines[2 + len(BASE_MODULE_ROWS)].startswith("total params")
+
+
 def test_report_on_micro64_draws_no_init(monkeypatch, capsys):
     forbid_draws(monkeypatch)
     assert main(["report", "--config",
@@ -685,6 +711,65 @@ def test_dump_attention_last_block_is_block_depth_minus_one(quick_run, tmp_path,
     last = dump("-1")
     assert dump("2") == last
     assert dump("0") != last
+
+
+def _dump_by_loops(ckpt, image, stage, row, col):
+    """The three dump-attention files worked out with plain loops over the
+    row-major region grid and, within a region, the row-major token grid."""
+    model, run = routeseg.cli._load_checkpoint_model(ckpt)
+    with recording(RoutingRecord()) as rec:
+        routeseg.train.predict(model, routeseg.cli._read_input_image(image, run))
+    trace = rec.traces[sum(run.model.stage_depths[:stage - 1])]
+    spec = trace.spec
+    side, s, rh, rw = spec.feat_h, spec.s, spec.region_h, spec.region_w
+    pixel_of = {}                         # (region, token) -> (y, x)
+    for ry in range(s):
+        for rx in range(s):
+            for ty in range(rh):
+                for tx in range(rw):
+                    pixel_of[ry * s + rx, ty * rw + tx] = (ry * rh + ty, rx * rw + tx)
+    region, token = next(k for k, v in pixel_of.items() if v == (row, col))
+    routed = [int(r) for r in trace.routing.index[0, region]]
+    weights = trace.weights[0, region, :, token, :].mean(axis=0)
+    lit = np.zeros((side, side), bool)
+    heat = np.zeros((side, side))
+    for j, rid in enumerate(routed):
+        for t in range(rh * rw):
+            lit[pixel_of[rid, t]] = True
+            heat[pixel_of[rid, t]] = weights[j * rh * rw + t]
+    factor = run.model.input_hw // side
+    up = lambda m: np.kron(m, np.ones((factor, factor), m.dtype))
+    return (up(lit.astype(np.uint8) * 255),
+            np.rint(up(heat) / heat.max() * 255.0).astype(np.uint8),
+            f"# stage {stage} query ({row}, {col}) region {region} routed {routed}",
+            heat, len(routed))
+
+
+@pytest.mark.parametrize("stage,row,col", [
+    (1, 0, 0), (1, 5, 2), (1, 7, 7), (2, 3, 1), (6, 2, 3), (7, 6, 1)])
+def test_dump_attention_matches_a_loop_derivation(quick_run, tmp_path, stage,
+                                                  row, col):
+    # stages 1 and 7 at side 8 route 2 of 4 regions; 2 and 6 at side 4 all 4
+    text = QUICK_CFG.replace("stage_depths = 1,0,0,0,0,0,1",
+                             "stage_depths = 1,1,0,0,0,1,1")
+    run = parse_config_text(text)
+    ckpt = str(tmp_path / "m.ckpt")
+    save_model(ckpt, build_model(run.model, seed=run.seed), text)
+    out = str(tmp_path / "attn")
+    assert main(["dump-attention", "--checkpoint", ckpt,
+                 "--image", image_path(quick_run), "--stage", str(stage),
+                 "--row", str(row), "--col", str(col), "--out", out]) == 0
+    region_map, heat_pgm, header, heat, k = _dump_by_loops(
+        ckpt, image_path(quick_run), stage, row, col)
+    assert k > 1
+    np.testing.assert_array_equal(read_pnm(os.path.join(out, "region_map.pgm")),
+                                  region_map)
+    np.testing.assert_array_equal(read_pnm(os.path.join(out, "heatmap.pgm")),
+                                  heat_pgm)
+    lines = slurp(os.path.join(out, "heatmap.txt")).splitlines()
+    assert lines[0] == header
+    np.testing.assert_array_equal(
+        np.array([[float(v) for v in line.split()] for line in lines[1:]]), heat)
 
 
 def test_dump_attention_validates_query_and_stage(quick_run, tmp_path, capsys):

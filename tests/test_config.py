@@ -97,6 +97,21 @@ def test_code_built_config_round_trips(kind):
     assert parse_config_text(effective_text(run)) == run
 
 
+@pytest.mark.parametrize("key,value", [
+    ("data_root", "/data/scan#2"), ("split_file", " lead.txt"),
+    ("split_file", "lead.txt "), ("data_root", "a\nb"), ("data_root", "a\rb")])
+def test_effective_text_refuses_a_string_it_cannot_round_trip(key, value):
+    run = dataclasses.replace(default_config(), **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: config text cannot hold"):
+        effective_text(run)
+
+
+def test_effective_text_round_trips_inner_spaces_and_tabs():
+    run = dataclasses.replace(default_config(), data_root="/data/my  scans\tv2",
+                              split_file="a b.txt")
+    assert parse_config_text(effective_text(run)) == run
+
+
 def _run_config(**kw):
     return RunConfig(ModelConfig(), OptimConfig(), AugmentConfig(), **kw)
 

@@ -7,10 +7,11 @@ import pytest
 from routeseg.data import (AugmentConfig, DataError, SegSample, SplitMix64,
                            adapt_channels, augment, derive_seed, kfold_splits,
                            load_dataset, make_splits, read_image, read_pnm,
-                           read_split_file, save_dataset, stack_batch,
-                           synth_dataset, to_unit_image, write_pgm, write_ppm,
-                           write_split_file)
+                           read_split_file, stack_batch, synth_dataset,
+                           to_unit_image, write_pgm)
 from routeseg.model import ConfigError
+
+from conftest import save_dataset, write_ppm, write_split_file
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +373,12 @@ def test_make_splits_seed_stable_and_validated():
         make_splits(ids, (0.8, 0.1, 0.1), 3)
     assert make_splits(ids, (0.8, 0.1, 0.1), 3) != \
         make_splits(ids, (0.8, 0.1, 0.1), 4)
-    with pytest.raises(DataError, match="sum to 1"):
+    # one rule with RunConfig's messages: make_splits raises ConfigError
+    with pytest.raises(ConfigError, match=r"nonnegative and sum to 1: \(0.5, 0.2, 0.2\)"):
         make_splits(ids, (0.5, 0.2, 0.2), 0)
-    with pytest.raises(DataError, match="fractions for"):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        make_splits(ids, (1.2, -0.1, -0.1), 0)
+    with pytest.raises(ConfigError, match="wants exactly train,val,test"):
         make_splits(ids, (0.5, 0.5), 0)
 
 

@@ -1,7 +1,7 @@
 """The only runtime dependency is numpy: every module of the package
 imports from the standard library, numpy or the package itself. The
-package also holds no more settable values than it did when they were
-last counted."""
+package also holds no more settable values, and no more lines, than it
+did when they were last counted."""
 
 import ast
 import sys
@@ -65,3 +65,15 @@ def test_package_adds_no_settable_values():
                 for m in PACKAGE.glob("*.py"))
     assert count <= SETTABLE_BOUND, \
         f"{count} settable values, bound {SETTABLE_BOUND}: justify the new ones"
+
+
+# Lines of src/routeseg/*.py as ``wc -l`` counts them. A change that adds
+# lines raises this bound and says why in CHANGES.md.
+SRC_LINE_BOUND = 4309
+
+
+def test_package_adds_no_lines():
+    # wc -l counts newline characters
+    count = sum(m.read_bytes().count(b"\n") for m in PACKAGE.glob("*.py"))
+    assert count <= SRC_LINE_BOUND, \
+        f"{count} lines in src/routeseg, bound {SRC_LINE_BOUND}: justify the new ones"

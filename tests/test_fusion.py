@@ -3,8 +3,9 @@ import pytest
 
 from routeseg.fusion import (FusionParams, PlainFuseParams, channel_spatial_fuse,
                              plain_fuse)
-from routeseg.params import count_scalars
 from routeseg.tensor import Tensor
+
+from conftest import count_scalars
 
 
 def pair(rng, n=2, hw=6, c=8, dtype=np.float64):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -341,3 +342,23 @@ def test_report_to_json_round_trips():
     assert doc["counts"] == report.counts.tolist()
     assert doc["means"]["dsc"] == report.means["dsc"]
     assert len(doc["per_class"]) == 3
+
+
+def test_report_to_json_writes_every_field_and_pinned_bytes():
+    report = evaluate_predictions([np.array([[0, 1], [1, 1]])],
+                                  [np.array([[0, 1], [0, 1]])], 2,
+                                  with_hausdorff=True)
+    fields = {f.name for f in dataclasses.fields(metrics.MetricsReport)}
+    assert set(json.loads(report.to_json())) == fields
+    assert report.to_json() == (
+        '{"counts": [[1, 0, 1, 2], [2, 1, 0, 1]], "foreground_means": '
+        '{"accuracy": 0.75, "dsc": 0.8, "iou": 0.6666666666666666, '
+        '"precision": 0.6666666666666666, "recall": 1.0}, "hausdorff": '
+        '[1.0, 1.0], "mean_hausdorff": 1.0, "means": {"accuracy": 0.75, '
+        '"dsc": 0.7333333333333334, "iou": 0.5833333333333333, '
+        '"precision": 0.8333333333333333, "recall": 0.75}, "num_classes": 2, '
+        '"num_images": 1, "per_class": [{"accuracy": 0.75, '
+        '"dsc": 0.6666666666666666, "iou": 0.5, "precision": 1.0, '
+        '"recall": 0.5}, {"accuracy": 0.75, "dsc": 0.8, '
+        '"iou": 0.6666666666666666, "precision": 0.6666666666666666, '
+        '"recall": 1.0}]}')

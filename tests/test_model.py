@@ -25,11 +25,12 @@ from routeseg.model import (CheckpointError, ConfigError, Model, ModelConfig,
                             build_model, count_flops, count_params,
                             load_into_model, read_records, save_model,
                             write_records)
-from routeseg.params import (bind, conv_init, count_scalars, named_arrays,
-                             substitute, walk_buffers, walk_tensors)
+from routeseg.params import (bind, conv_init, named_arrays, substitute,
+                             walk_buffers, walk_tensors)
 from routeseg.tensor import Tape, Tensor, backward, sum_
 
-from conftest import fds_open_on, forbid_draws, micro_config, needs_proc_fd
+from conftest import (count_scalars, fds_open_on, forbid_draws, micro_config,
+                      needs_proc_fd)
 
 
 # ---------------------------------------------------------------------------
