@@ -21,13 +21,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import RoutingRecord, recording, region_merge, region_partition
+from .attention import (RoutingRecord, attention_flops, min_cost_over_s, recording,
+                        region_merge, region_partition)
 from .config import (RunConfig, describe_keys, effective_text, load_config,
                      parse_config_text)
 from .data import (SPLIT_NAMES, DataError, SegSample, kfold_splits,
                    load_dataset, make_splits, read_image, read_split_file,
                    synth_dataset, write_pgm)
-from .model import (CheckpointError, ConfigError, Model, build_model,
+from .model import (CheckpointError, ConfigError, Model, ModelConfig, build_model,
                     count_flops, count_params, load_into_model, read_records)
 from .tensor import Tensor, softmax_lastdim
 from .train import NumericAbort, evaluate, predict, train_loop
@@ -106,7 +107,10 @@ def _check_extents(image: np.ndarray, hw: int, what: str):
 
 def _load_checkpoint_model(path: str) -> Tuple[Model, RunConfig]:
     config_text, records = read_records(path)
-    run = parse_config_text(config_text, source=f"{path}:config")
+    try:
+        run = parse_config_text(config_text, source="embedded config")
+    except ConfigError as e:    # an unusable checkpoint is a data error
+        raise CheckpointError(f"{path}: {e}") from None
     model = build_model(run.model, seed=run.seed)
     load_into_model(model, records)
     return model, run
@@ -215,26 +219,19 @@ def _report_text(run: RunConfig) -> str:
     lines.append(f"total flops:  {flops['total_macs'] / 1e9:.2f} G "
                  f"({flops['convention']})")
 
-    default = run.model.__class__()
-    comparable = (run.model.stage_depths == default.stage_depths
-                  and run.model.input_hw == default.input_hw
-                  and run.model.s == default.s
-                  and run.model.num_classes == default.num_classes
-                  and run.model.in_channels == default.in_channels
-                  and all(run.model.skip_mask)
-                  and run.model.top_k_schedule is None)
-    matched = False
-    if comparable:
-        for label, base_c, sccsa, target in PARAM_TARGETS:
-            if run.model.base_channels == base_c and run.model.sccsa == sccsa:
-                dev = (params["total"] - target) / target
-                verdict = "PASS" if abs(dev) <= PARAM_TOLERANCE else "FAIL"
-                lines.append(
-                    f"published target [{label}]: {target / 1e6:.2f} M, "
-                    f"deviation {dev * 100:+.2f}% -> {verdict} "
-                    f"(tolerance +-{PARAM_TOLERANCE * 100:.0f}%)")
-                matched = True
-    if not matched:
+    # the targets range over these four fields; every other one must be the default
+    default = ModelConfig()
+    ranged = ("base_channels", "sccsa", "scale_mode", "qkv_bias")
+    pinned = dataclasses.replace(run.model, **{f: getattr(default, f) for f in ranged})
+    targets = [t for t in PARAM_TARGETS if pinned == default
+               and t[1:3] == (run.model.base_channels, run.model.sccsa)]
+    for label, _, _, target in targets:
+        dev = (params["total"] - target) / target
+        verdict = "PASS" if abs(dev) <= PARAM_TOLERANCE else "FAIL"
+        lines.append(f"published target [{label}]: {target / 1e6:.2f} M, "
+                     f"deviation {dev * 100:+.2f}% -> {verdict} "
+                     f"(tolerance +-{PARAM_TOLERANCE * 100:.0f}%)")
+    if not targets:
         lines.append("no published parameter target for this configuration")
     return "\n".join(lines) + "\n"
 
@@ -252,12 +249,11 @@ def _fit_exponent(hws: List[int], costs: List[int]) -> float:
 
 
 def bench_scaling_table(sides: List[int], top_k: int, channels: int) -> dict:
-    from .attention import min_cost_over_s
     rows = []
     for side in sides:
         hw = side * side
         best_s, bra = min_cost_over_s(hw, channels, top_k)
-        full = 2 * hw * hw * channels
+        full = attention_flops(hw, channels, 1, 1)["token_macs"]   # dense: one region
         rows.append({"side": side, "hw": hw, "best_s": best_s,
                      "bra_macs": bra, "full_macs": full})
     bra_exp = _fit_exponent([r["hw"] for r in rows],

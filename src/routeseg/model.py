@@ -40,7 +40,7 @@ from .blocks import (MLP_RATIO, BlockParams, PatchEmbedParams,
                      patch_embed, patch_expand, patch_merge, pixel_shuffle)
 from .fusion import (GATE_KERNEL, GATE_REDUCTION, FusionParams,
                      PlainFuseParams, channel_spatial_fuse, plain_fuse)
-from .params import bind, trunc_normal, walk_buffers, walk_tensors
+from .params import bind, named_arrays, trunc_normal, walk_buffers, walk_tensors
 from .tensor import Tape, Tensor, dense
 
 HEAD_DIM = 32
@@ -78,6 +78,11 @@ class ModelConfig:
                               f"got {len(self.stage_depths)}")
         if any(d < 0 for d in self.stage_depths):
             raise ConfigError(f"negative stage depth in {self.stage_depths}")
+        for i, (_, width) in enumerate(self.stage_geometry()):
+            heads = self.heads_for(width)
+            if self.stage_depths[i] and width % heads:
+                raise ConfigError(f"base_channels {self.base_channels}: stage {i + 1} "
+                                  f"width {width} does not split into {heads} heads")
         if self.s < 1:
             raise ConfigError(f"partition factor must be >= 1, got {self.s}")
         if self.input_hw < 32 or self.input_hw % 32:
@@ -171,9 +176,7 @@ class Model:
 
     def records(self) -> Dict[str, np.ndarray]:
         """Parameters then buffers, dotted names, insertion-ordered."""
-        out = {name: t.data for name, t in walk_tensors(self.params)}
-        out.update(walk_buffers(self.params))
-        return out
+        return {**named_arrays(self.params), **dict(walk_buffers(self.params))}
 
     def forward(self, x, training: bool = False) -> Tensor:
         """Logits [N, H, W, K]."""
@@ -252,29 +255,17 @@ def _init_params(cfg: ModelConfig, rng: Optional[np.random.Generator],
 # counting
 
 
-_GROUP_LABELS = {
-    "embed": "embed",
-    "merges": "merges",
-    "expands": "expands",
-    "final_expand": "expands",
-    "fuses": "fusion",
-    "head_w": "head",
-    "head_b": "head",
-}
-
-
 def count_params(model: Model) -> Dict[str, int]:
-    """Learnable scalar counts per module group; buffers excluded. An undrawn
-    model is counted from blank parameters and stays undrawn."""
-    table: Dict[str, int] = {f"stage{i + 1}": 0 for i in range(NUM_STAGES)}
-    table.update(embed=0, merges=0, expands=0, fusion=0, head=0)
-    for name, t in walk_tensors(model.params_or_blank()):
-        root = name.split(".")[0]
-        if root == "stages":
-            group = f"stage{int(name.split('.')[1]) + 1}"
-        else:
-            group = _GROUP_LABELS[root]
-        table[group] += t.size
+    """Learnable scalar counts per module group, in ``count_flops``'s order,
+    then ``total``; buffers excluded. An undrawn model is counted from blank
+    parameters and stays undrawn."""
+    p = model.params_or_blank()
+    groups = {"embed": p.embed,
+              **{f"stage{i + 1}": blocks for i, blocks in enumerate(p.stages)},
+              "merges": p.merges, "expands": (p.expands, p.final_expand),
+              "fusion": p.fuses, "head": (p.head_w, p.head_b)}
+    table = {name: sum(t.size for _, t in walk_tensors(group))
+             for name, group in groups.items()}
     table["total"] = sum(table.values())
     return table
 

@@ -9,13 +9,14 @@ import routeseg.cli
 import routeseg.gradcheck
 import routeseg.tensor
 import routeseg.train
-from routeseg.attention import RoutingRecord, recording
+from routeseg.attention import RoutingRecord, attention_flops, recording
 from routeseg.cli import main
-from routeseg.config import effective_text, parse_config_text
+from routeseg.config import default_config, effective_text, parse_config_text
 from routeseg.data import make_splits, read_pnm, synth_dataset
 from routeseg.gradcheck import GradCheckReport
 from routeseg.metrics import confusion_counts
-from routeseg.model import build_model, read_records, save_model, write_records
+from routeseg.model import (ModelConfig, build_model, read_records, save_model,
+                            write_records)
 
 from conftest import CONFIGS_DIR, forbid_draws, save_dataset, write_split_file
 
@@ -562,6 +563,23 @@ def test_infer_on_checkpoint_with_non_utf8_config_is_data_error(quick_run, tmp_p
     assert "config is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["bogus_key = 1\n", "base_channels = 100\n"])
+@pytest.mark.parametrize("command", ["eval", "infer", "dump-attention"])
+def test_checkpoint_with_an_unusable_config_is_data_error(quick_run, tmp_path, capsys,
+                                                          command, text):
+    bad = str(tmp_path / "bad.ckpt")
+    write_records(bad, text, {"a": np.zeros(2, np.float32)})
+    out = str(tmp_path / "o")
+    args = {"eval": ["--data", quick_run["data"]],
+            "infer": ["--image", image_path(quick_run), "--out", out],
+            "dump-attention": ["--image", image_path(quick_run), "--row", "0",
+                               "--col", "0", "--out", out]}[command]
+    assert main([command, "--checkpoint", bad, *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"routeseg: data error: {bad}: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -618,6 +636,44 @@ def test_report_without_target_says_so(tmp_path, capsys):
     assert "total params" in text and "total flops" in text
 
 
+def test_width_that_does_not_split_into_heads_is_config_error(tmp_path, capsys):
+    cfg = write(str(tmp_path / "b100.cfg"), "base_channels = 100\n")
+    assert main(["report", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("routeseg: config error: base_channels 100: "
+                                       "stage 1 width 100 does not split into 3 heads\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "does not split into 3 heads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# One other value for every ModelConfig field, and whether the published
+# targets range over that field (so the report still prints a target line).
+TARGET_FIELD_CHANGES = {
+    "in_channels": (1, False),
+    "num_classes": (2, False),
+    "base_channels": (64, True),
+    "stage_depths": ((2, 2, 8, 1, 8, 2, 2), False),
+    "top_k_schedule": ((1, 1, 1, 1, 1, 1, 1), False),
+    "s": (8, False),
+    "input_hw": (256, False),
+    "sccsa": (False, True),
+    "skip_mask": ((True, True, False), False),
+    "scale_mode": ("model_dim", True),
+    "qkv_bias": (False, True),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelConfig)])
+def test_report_keeps_a_published_target_only_for_the_fields_it_ranges_over(field):
+    value, kept = TARGET_FIELD_CHANGES[field]
+    model = dataclasses.replace(ModelConfig(), **{field: value})
+    text = routeseg.cli._report_text(dataclasses.replace(default_config(), model=model))
+    targets = [l for l in text.splitlines() if l.startswith("published target [")]
+    assert len(targets) == int(kept)
+    assert ("no published parameter target for this configuration" in text) != kept
+
+
 def test_report_to_an_unwritable_path_is_data_error(tmp_path, capsys):
     cfg = write(str(tmp_path / "micro.cfg"), QUICK_CFG)
     blocker = write(str(tmp_path / "a_file"), "")
@@ -641,6 +697,17 @@ def test_bench_scaling_fits_subquadratic_exponent(tmp_path, capsys):
     full_exp = float(full.split(":")[1])
     assert abs(routed_exp - 4.0 / 3.0) < 0.05
     assert abs(full_exp - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("sides,top_k,channels", [
+    ([32, 64, 128, 256], 4, 64), ([8, 16, 32, 64], 1, 8), ([6, 12, 24], 2, 3)])
+def test_bench_scaling_full_cost_is_attention_over_one_region(sides, top_k, channels):
+    rows = routeseg.cli.bench_scaling_table(sides, top_k, channels)["rows"]
+    assert [r["side"] for r in rows] == sides
+    for r in rows:
+        hw = r["hw"]
+        assert r["full_macs"] == 2 * hw * hw * channels \
+            == attention_flops(hw, channels, 1, 1)["token_macs"]
 
 
 def test_bench_scaling_needs_three_sides(capsys):

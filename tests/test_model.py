@@ -143,6 +143,42 @@ def test_config_validation_rejects(field, value, msg):
         dataclasses.replace(ModelConfig(), **{field: value})
 
 
+@pytest.mark.parametrize("base,depths,stage,width,heads", [
+    (100, (2, 2, 8, 0, 8, 2, 2), 1, 100, 3),
+    (70, (1, 1, 1, 1, 1, 1, 1), 4, 560, 17)])
+def test_config_refuses_a_width_that_does_not_split_into_its_heads(base, depths, stage,
+                                                                  width, heads):
+    msg = (f"base_channels {base}: stage {stage} width {width} does not split "
+           f"into {heads} heads")
+    with pytest.raises(ConfigError, match=f"^{msg}$"):
+        ModelConfig(base_channels=base, stage_depths=depths)
+
+
+@pytest.mark.parametrize("depths", [(2, 2, 8, 0, 8, 2, 2), (1, 1, 1, 1, 1, 1, 1)])
+def test_config_accepts_exactly_the_widths_whose_blocks_build(depths):
+    """Only stages that run a block need their width to split into heads:
+    at the default depths stage 4 runs none, so base_channels 70 builds."""
+    def blocks_build(base):
+        for mult, depth in zip((1, 2, 4, 8, 4, 2, 1), depths):
+            width = base * mult
+            try:
+                if depth:
+                    rs_blocks.BlockParams.init(width, ModelConfig.heads_for(width), None)
+            except ValueError:
+                return False
+        return True
+
+    refused = []
+    for base in range(2, 132, 2):
+        try:
+            ModelConfig(base_channels=base, stage_depths=depths)
+        except ConfigError:
+            refused.append(base)
+        assert (base not in refused) == blocks_build(base), base
+    assert (70 in refused) == (depths[3] > 0) and 100 in refused
+    count_params(build_model(ModelConfig(base_channels=70)))
+
+
 def test_stage_geometry_and_heads():
     cfg = ModelConfig()
     assert cfg.stage_geometry() == [(56, 96), (28, 192), (14, 384), (7, 768),
@@ -278,6 +314,16 @@ def test_shipped_config_flop_tables_pinned():
         table = count_flops(load_config(path).model)["per_module"]
         want = SHIPPED_MACS[os.path.basename(path)[:-4]]
         assert table == dict(zip(FLOP_MODULES, want)), path
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.cfg"))),
+                         ids=os.path.basename)
+def test_count_params_rows_follow_count_flops_and_cover_every_tensor(path):
+    cfg = load_config(path).model
+    model = build_model(cfg)
+    table = count_params(model)
+    assert list(table) == [*count_flops(cfg)["per_module"], "total"]
+    assert table["total"] == sum(t.size for _, t in walk_tensors(model.params_or_blank()))
 
 
 def observed_macs(monkeypatch, model):
